@@ -16,9 +16,11 @@
 //	GET  /healthz   liveness ("ok")
 //	GET  /matching  current matching: weight, size, graph dims, tick, edges
 //	GET  /stats     the core.Stats ledger as a flat JSON object (reflective:
-//	                a counter added by a future PR appears automatically)
+//	                a counter added by a future PR appears automatically),
+//	                plus tick-errors, the failed ticks since process start
 //	POST /mutate    queue mutations: JSON array of {"op","u","v","w"}
-//	                (op: insert | delete | reweight; w ignored for delete)
+//	                (op: insert | delete | reweight; w ignored for delete);
+//	                a body over maxMutateBody bytes is refused with 413
 //	POST /tick      apply the queued batch and re-converge; reports the
 //	                ops applied, the augmentation gain, and the new weight
 //	POST /snapshot  persist a resumable checkpoint to the -snapshot path
@@ -35,6 +37,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -48,6 +51,10 @@ import (
 	"repro/internal/graph"
 	"repro/internal/layered"
 )
+
+// maxMutateBody bounds one POST /mutate request body. A larger body is
+// refused with 413 before anything is queued.
+const maxMutateBody = 1 << 20
 
 func main() {
 	if err := run(os.Args[1:], os.Stdin, os.Stdout); err != nil {
@@ -98,13 +105,17 @@ type server struct {
 	ticks   int
 	resumed bool
 	coldMsg string // why a requested resume started cold, "" if it didn't
+	// tickErrors counts failed ticks, periodic or POST /tick, since the
+	// process started; each failure is also logged to errLog.
+	tickErrors int64
+	errLog     io.Writer
 }
 
 // newServer builds the service state over g, resuming from cfg.snapshot
 // when requested and the checkpoint is usable. The resumed graph replaces
 // g entirely — the snapshot's post-edit graph is the service's truth.
 func newServer(g *graph.Graph, cfg config) *server {
-	s := &server{cfg: cfg, g: g, seed: cfg.seed}
+	s := &server{cfg: cfg, g: g, seed: cfg.seed, errLog: os.Stderr}
 	if cfg.resume && cfg.snapshot != "" {
 		if cp, err := core.LoadCheckpoint(cfg.snapshot); err != nil {
 			s.coldMsg = err.Error()
@@ -143,14 +154,37 @@ func (s *server) checkpoint() *core.Checkpoint {
 	}
 }
 
-// tick applies the queued batch and re-converges. Caller holds the lock.
+// tick applies the queued batch and re-converges. A failure is counted in
+// tick-errors and logged with its tick number: a periodic tick has no
+// response to carry it. Caller holds the lock.
 func (s *server) tick() (applied int, gain graph.Weight, err error) {
 	batch := s.pending
 	s.pending = core.MutationBatch{}
 	before := s.stats.MutationsApplied
 	gain, err = s.runner.Tick(s.m, &batch, &s.stats)
 	s.ticks++
+	if err != nil {
+		s.tickErrors++
+		fmt.Fprintf(s.errLog, "augserve: tick %d: %v\n", s.ticks, err)
+	}
 	return s.stats.MutationsApplied - before, gain, err
+}
+
+// runTicker ticks every period until stop is closed (never, for a nil
+// stop).
+func (s *server) runTicker(period time.Duration, stop <-chan struct{}) {
+	t := time.NewTicker(period)
+	defer t.Stop()
+	for {
+		select {
+		case <-stop:
+			return
+		case <-t.C:
+			s.mu.Lock()
+			s.tick()
+			s.mu.Unlock()
+		}
+	}
 }
 
 // mutationReq is the wire form of one queued edit.
@@ -204,13 +238,19 @@ func (s *server) handler() http.Handler {
 		for _, f := range s.stats.Fields() {
 			counters[f.Name] = f.Value
 		}
+		counters["tick-errors"] = s.tickErrors
 		writeJSON(w, counters)
 	})
 
 	mux.HandleFunc("POST /mutate", func(w http.ResponseWriter, r *http.Request) {
 		var reqs []mutationReq
-		if err := json.NewDecoder(r.Body).Decode(&reqs); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+		if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxMutateBody)).Decode(&reqs); err != nil {
+			code := http.StatusBadRequest
+			var tooBig *http.MaxBytesError
+			if errors.As(err, &tooBig) {
+				code = http.StatusRequestEntityTooLarge
+			}
+			http.Error(w, err.Error(), code)
 			return
 		}
 		// Validate the whole request into a local batch before touching the
@@ -325,13 +365,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "cold start (snapshot unusable: %s)\n", s.coldMsg)
 	}
 	if cfg.tick > 0 {
-		go func() {
-			for range time.Tick(cfg.tick) {
-				s.mu.Lock()
-				s.tick()
-				s.mu.Unlock()
-			}
-		}()
+		go s.runTicker(cfg.tick, nil)
 	}
 	fmt.Fprintf(stdout, "listening on %s (n=%d m=%d)\n", cfg.addr, g.N(), g.M())
 	return http.ListenAndServe(cfg.addr, s.handler())

@@ -12,6 +12,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/graph"
@@ -405,4 +406,122 @@ func TestServeErrors(t *testing.T) {
 		t.Fatalf("server unhealthy after failed tick: %v %v", resp.Status, err)
 	}
 	resp.Body.Close()
+}
+
+// lockedBuffer is a bytes.Buffer safe to write from the ticker goroutine
+// while the test reads it.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// TestPeriodicTickErrorCounted pins the -tick failure surface: a periodic
+// tick has no response, so a failing batch (here an insert on an
+// out-of-range vertex) must be logged with its tick number and counted in
+// the tick-errors key of /stats. Later periodic ticks run empty batches
+// and succeed, so the count stays at one.
+func TestPeriodicTickErrorCounted(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	inst := graph.RandomGraph(12, 30, 16, rng)
+	cfg := config{seed: 2}
+	cfg.opts = cfg.options()
+	s := newServer(inst.G.Clone(), cfg)
+	var errLog lockedBuffer
+	s.errLog = &errLog
+	ts := httptest.NewServer(s.handler())
+	defer ts.Close()
+
+	var queued struct{ Queued int }
+	postJSON(t, ts.URL+"/mutate", []mutationReq{{Op: "insert", U: 0, V: 1000, W: 5}}, &queued)
+	if queued.Queued != 1 {
+		t.Fatalf("queued = %d, want 1", queued.Queued)
+	}
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		s.runTicker(5*time.Millisecond, stop)
+		close(done)
+	}()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		var m struct{ Tick int }
+		getJSON(t, ts.URL+"/matching", &m)
+		if m.Tick >= 3 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("periodic ticker stalled at tick %d", m.Tick)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	close(stop)
+	<-done
+
+	stats := map[string]int64{}
+	getJSON(t, ts.URL+"/stats", &stats)
+	if got, ok := stats["tick-errors"]; !ok || got != 1 {
+		t.Fatalf("tick-errors = %d (present %v), want 1", got, ok)
+	}
+	if stats["mutations-applied"] != 0 {
+		t.Fatalf("mutations-applied = %d, want 0", stats["mutations-applied"])
+	}
+	if log := errLog.String(); !strings.Contains(log, "tick 1:") || strings.Count(log, "\n") != 1 {
+		t.Fatalf("error log %q, want one line for tick 1", log)
+	}
+}
+
+// TestMutateOversizeQueuesNothing: a /mutate body over maxMutateBody is
+// refused with 413 and queues nothing — a valid prefix already decoded
+// before the limit hit must not reach the next tick.
+func TestMutateOversizeQueuesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	inst := graph.RandomGraph(12, 30, 16, rng)
+	cfg := config{seed: 2}
+	cfg.opts = cfg.options()
+	s := newServer(inst.G.Clone(), cfg)
+	ts := httptest.NewServer(s.handler())
+	defer ts.Close()
+
+	e := inst.G.EdgeAt(0)
+	op := mutationReq{Op: "reweight", U: e.U, V: e.V, W: 9}
+	var reqs []mutationReq
+	for n := 0; n*30 < maxMutateBody; n++ {
+		reqs = append(reqs, op)
+	}
+	if resp := postJSON(t, ts.URL+"/mutate", reqs, nil); resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversize body: status %d, want 413", resp.StatusCode)
+	}
+	stats := map[string]int64{}
+	getJSON(t, ts.URL+"/stats", &stats)
+	var tick struct {
+		Applied int
+		Error   string
+	}
+	postJSON(t, ts.URL+"/tick", nil, &tick)
+	if tick.Applied != 0 || tick.Error != "" {
+		t.Fatalf("oversize request left ops behind: tick applied %d (error %q), want 0", tick.Applied, tick.Error)
+	}
+	after := map[string]int64{}
+	getJSON(t, ts.URL+"/stats", &after)
+	if stats["mutations-applied"] != 0 || after["mutations-applied"] != 0 {
+		t.Fatalf("mutations-applied %d before / %d after the tick, want 0", stats["mutations-applied"], after["mutations-applied"])
+	}
+
+	// A request under the limit still queues.
+	var queued struct{ Queued int }
+	postJSON(t, ts.URL+"/mutate", reqs[:1], &queued)
+	if queued.Queued != 1 {
+		t.Fatalf("queued = %d, want 1", queued.Queued)
+	}
 }

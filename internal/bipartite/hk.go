@@ -20,6 +20,11 @@
 // the caller re-solves cold — the solver rung of core's degradation
 // ladder; together with the five layered.ErrDelta* sentinels these are
 // the ladder's eight recoverable sentinels.
+//
+// Both retained entries are the arena's unfilled solve (SolveRetained,
+// Repair) followed by the Matching fill. A caller that needs only the
+// cardinality first reads Size and fills on demand: core's cardinality
+// gate skips the fill whenever the exact solve cannot augment.
 package bipartite
 
 import (
@@ -86,11 +91,12 @@ type Scratch struct {
 	dist      []int32
 	iter      []int32 // per-phase adjacency cursor per left vertex (see run)
 	queue     []int32
+	size      int // matched pairs of the latest solve (see Size)
 
 	// Repair retention (repair.go): token identifies the latest retained
 	// solve (0 = none), prevN/prevM its instance shape; off2/to2/eidx2 are
 	// the double-buffered CSR the patch writes into before swapping; out is
-	// the arena-owned result matching retained solves hand back.
+	// the arena-owned result matching Matching fills.
 	token uint64
 	prevN int
 	prevM int
@@ -481,5 +487,6 @@ func (s *Scratch) runLoop(b *Bip, maxLen int, seeds []Seed, rescan bool) int {
 		}
 	}
 
+	s.size = size
 	return phases
 }

@@ -90,14 +90,14 @@ func (s *Scratch) SolveToken() uint64 { return s.token }
 // the arena as a repair baseline: the CSR stays valid for a subsequent
 // RepairHK (see SolveToken), and the returned matching is owned by the
 // arena — valid only until the next solve on s, which resets and refills
-// it. The matching itself is identical to HopcroftKarpScratch's.
+// it. The matching itself is identical to HopcroftKarpScratch's. It is
+// SolveRetained followed by the Matching fill.
 func HopcroftKarpRetained(b *Bip, s *Scratch) Result {
 	if s == nil {
 		s = NewScratch()
 	}
-	s.prepare(b)
-	phases := s.run(b, math.MaxInt32, nil)
-	return s.retain(b, phases)
+	phases := s.SolveRetained(b)
+	return Result{M: s.Matching(b), Phases: phases}
 }
 
 // RepairHK solves b exactly like HopcroftKarpRetained, but builds the CSR
@@ -110,39 +110,74 @@ func HopcroftKarpRetained(b *Bip, s *Scratch) Result {
 // setup, not the phases. The returned matching is arena-owned, as with
 // HopcroftKarpRetained. A non-nil error means the baseline cannot be
 // patched (see the ErrRepair* conditions) and the caller should solve via
-// HopcroftKarpRetained instead.
+// HopcroftKarpRetained instead. It is Repair followed by the Matching fill.
 func RepairHK(b *Bip, s *Scratch, info RepairInfo) (Result, error) {
-	if s == nil || s.token == 0 {
+	if s == nil {
 		return Result{}, ErrRepairNoBase
 	}
+	phases, err := s.Repair(b, info)
+	if err != nil {
+		return Result{}, err
+	}
+	return Result{M: s.Matching(b), Phases: phases}, nil
+}
+
+// SolveRetained is the solve of HopcroftKarpRetained without the fill: it
+// retains the solve as the arena's repair baseline and returns the phase
+// count, leaving the matching in the arena's solver state. Size reads its
+// cardinality; Matching materialises it on demand.
+func (s *Scratch) SolveRetained(b *Bip) int {
+	s.prepare(b)
+	phases := s.run(b, math.MaxInt32, nil)
+	s.retain(b)
+	return phases
+}
+
+// Repair is the solve of RepairHK without the fill, with RepairHK's
+// contract and errors; on success the arena holds the retained solve
+// exactly as after SolveRetained.
+func (s *Scratch) Repair(b *Bip, info RepairInfo) (int, error) {
+	if s.token == 0 {
+		return 0, ErrRepairNoBase
+	}
 	if info.BaseToken != s.token {
-		return Result{}, ErrRepairStale
+		return 0, ErrRepairStale
 	}
 	// Hazard site (chaos testing): report the retained CSR's token
 	// mismatched before the arena is touched, exactly as a real overwrite
 	// by a foreign solve would.
 	if faultinject.Fire(faultinject.RepairToken) {
-		return Result{}, ErrRepairStale
+		return 0, ErrRepairStale
 	}
 	if info.KeptVerts < 0 || info.KeptVerts > b.N || info.KeptVerts > s.prevN ||
 		info.KeptEdges < 0 || info.KeptEdges > len(b.Edges) || info.KeptEdges > s.prevM {
-		return Result{}, ErrRepairInfo
+		return 0, ErrRepairInfo
 	}
 	s.patch(b, info)
 	phases := s.run(b, math.MaxInt32, nil)
-	return s.retain(b, phases), nil
+	s.retain(b)
+	return phases, nil
 }
 
-// retain records the solve as the arena's repair baseline and hands the
-// result back in the arena-owned matching.
-func (s *Scratch) retain(b *Bip, phases int) Result {
+// retain records the latest solve, of b, as the arena's repair baseline.
+func (s *Scratch) retain(b *Bip) {
 	s.token = solveTokens.Add(1)
 	s.prevN, s.prevM = b.N, len(b.Edges)
+}
+
+// Size returns the cardinality of the arena's latest solve — the matched
+// pairs its phase loop left behind — without materialising the matching.
+func (s *Scratch) Size() int { return s.size }
+
+// Matching fills the arena-owned matching with the latest solve's result
+// and returns it. b must be the instance that solve ran on; the matching is
+// valid until the next Matching call or solve on s.
+func (s *Scratch) Matching(b *Bip) *graph.Matching {
 	if s.out == nil {
 		s.out = new(graph.Matching)
 	}
 	s.out.FillFromSolver(b.N, b.Side, s.matchL, s.matchR, s.matchEdge, b.Edges)
-	return Result{M: s.out, Phases: phases}
+	return s.out
 }
 
 // patch builds the CSR for b from the retained baseline CSR: per-row

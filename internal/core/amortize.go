@@ -280,10 +280,12 @@ type repairState struct {
 }
 
 // solve runs the retained/repaired exact solver on the pair's bipartite
-// view. The returned matching is arena-owned and valid only until the next
-// solve on this worker — classAugmentations consumes it within the
-// iteration.
-func (rs *repairState) solve(lay *layered.Layered, bip *bipartite.Bip, cutover int, stats *Stats) (*graph.Matching, int) {
+// view and returns its phase count. The result stays unmaterialised in the
+// arena: rs.hk.Size() reads its cardinality, and rs.hk.Matching(bip) fills
+// the arena-owned M' — valid only until the next solve on this worker —
+// which classAugmentations does only when the cardinality gate says the
+// solve can augment (see there).
+func (rs *repairState) solve(lay *layered.Layered, bip *bipartite.Bip, cutover int, stats *Stats) int {
 	if d := lay.Delta; d.Valid && rs.baseTok != 0 && d.BaseSeq == rs.baseSeq {
 		// Default gate: patch whenever anything is shared — the E16 table
 		// measured the patch-always extreme at or slightly ahead of
@@ -300,17 +302,17 @@ func (rs *repairState) solve(lay *layered.Layered, bip *bipartite.Bip, cutover i
 				KeptEdges: d.KeptLPrime,
 			}
 			// Hazard site (chaos testing): corrupt the kept-prefix
-			// descriptor the way a damaged DeltaInfo would. RepairHK's
+			// descriptor the way a damaged DeltaInfo would. Repair's
 			// bounds check rejects it (ErrRepairInfo) before touching the
 			// arena, so the fall-through below takes over.
 			if faultinject.Fire(faultinject.RepairInfo) {
 				info.KeptEdges = int(^uint32(0) >> 1)
 			}
-			if res, err := bipartite.RepairHK(bip, rs.hk, info); err == nil {
+			if phases, err := rs.hk.Repair(bip, info); err == nil {
 				stats.RepairSolves++
 				stats.RepairEdgesKept += d.KeptLPrime
 				rs.record(lay)
-				return res.M, res.Phases
+				return phases
 			}
 			// Solve rung of the ladder: a rejected baseline (ErrRepair*,
 			// real or injected) degrades to the full retained solve below,
@@ -318,9 +320,9 @@ func (rs *repairState) solve(lay *layered.Layered, bip *bipartite.Bip, cutover i
 			stats.FallbackSolves++
 		}
 	}
-	res := bipartite.HopcroftKarpRetained(bip, rs.hk)
+	phases := rs.hk.SolveRetained(bip)
 	rs.record(lay)
-	return res.M, res.Phases
+	return phases
 }
 
 func (rs *repairState) record(lay *layered.Layered) {

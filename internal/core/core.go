@@ -1099,21 +1099,30 @@ func classAugmentations(
 		bip := &bipartite.Bip{N: lay.NumV, Side: lay.Sides(), Edges: lp}
 		stats.SolverCalls++
 		var mPrime *graph.Matching
+		gated := false
 		switch {
 		case warm != nil:
 			var phases int
 			mPrime, phases = warm.solve(lay, bip)
 			stats.SolverPhases += phases
 		case rep != nil:
-			var phases int
 			repairedBefore := stats.RepairSolves
-			mPrime, phases = rep.solve(lay, bip, opts.RepairCutover, stats)
+			stats.SolverPhases += rep.solve(lay, bip, opts.RepairCutover, stats)
 			if crossBuilt && stats.RepairSolves > repairedBefore {
 				// The patched baseline solve belonged to the previous
 				// round: the repair chain crossed the redraw too.
 				stats.CrossRoundRepairs++
 			}
-			stats.SolverPhases += phases
+			// Cardinality gate (Invariant 28): ML' ⊆ L' and M' is an exact
+			// maximum matching of L', so ML' Δ M' holds no M'-augmenting
+			// component and exactly |M'| − |ML'| augmenting walks. When
+			// the solve did not grow ML' there is nothing to extract, and
+			// M' is never materialised. Only exact solves may take it: a
+			// (1−δ) solver's M' need not be maximum, so |M'| = |ML'| does
+			// not rule out augmenting walks there.
+			if gated = rep.hk.Size() == len(lay.InteriorX); !gated {
+				mPrime = rep.hk.Matching(bip)
+			}
 		default:
 			cw.lastPhases = 0
 			var err error
@@ -1124,11 +1133,13 @@ func classAugmentations(
 			stats.SolverPhases += cw.lastPhases
 		}
 		start := len(cands)
-		lay.AugmentingWalks(mPrime, func(walk layered.Walk) {
-			if aug, gain, ok := scratch.BestAugmentation(m, walk); ok {
-				cands = append(cands, candidate{aug: aug, gain: gain})
-			}
-		})
+		if !gated {
+			lay.AugmentingWalks(mPrime, func(walk layered.Walk) {
+				if aug, gain, ok := scratch.BestAugmentation(m, walk); ok {
+					cands = append(cands, candidate{aug: aug, gain: gain})
+				}
+			})
+		}
 		if keyed {
 			ac.cache.put(key, cands[start:])
 		}
