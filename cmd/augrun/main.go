@@ -13,10 +13,10 @@
 // Algorithms: greedy, localratio, blossom, exact, randarrival,
 // randarrival-unweighted, approx, streaming, mpc.
 //
-// The -delta-cutover, -repair-cutover, -crossround-cutover and
-// -cache-gate flags tune the amortised path's differential machinery
-// (negative disables the respective layer — the E15/E16/E17 measurement
-// baselines); every setting is bit-identity-preserving. The golden -help
+// The -delta-cutover, -crossround-cutover and -cache-gate flags tune the
+// amortised path's differential machinery (negative disables the
+// respective layer — the E15/E17 measurement baselines); every setting is
+// bit-identity-preserving. The golden -help
 // test (TestHelpGolden) pins this flag surface against drift.
 //
 // The reduction-driven algorithms (approx, streaming, mpc) print the full
@@ -81,7 +81,6 @@ type flags struct {
 	snapshot          string
 	resume, asJSON    bool
 	deltaCutover      int
-	repairCutover     int
 	crossRoundCutover int
 	cacheGate         int
 }
@@ -100,7 +99,6 @@ func newFlagSet(f *flags) *flag.FlagSet {
 	fs.StringVar(&f.snapshot, "snapshot", "", "approx: persist a resumable checkpoint to this file after every round")
 	fs.BoolVar(&f.resume, "resume", false, "approx: resume from the -snapshot checkpoint; an unusable snapshot degrades to a cold start")
 	fs.IntVar(&f.deltaCutover, "delta-cutover", 0, "approx: differential-build gate (0 = default, negative disables delta chaining)")
-	fs.IntVar(&f.repairCutover, "repair-cutover", 0, "approx: incremental HK repair gate (0 = default, negative disables repair)")
 	fs.IntVar(&f.crossRoundCutover, "crossround-cutover", 0, "approx: cross-round chain gate (0 = default, negative restarts chains each round)")
 	fs.IntVar(&f.cacheGate, "cache-gate", 0, "approx: cross-class cache hit-rate gate in lookups (0 = default 8, negative disables the gate)")
 	fs.BoolVar(&f.asJSON, "json", false, "emit the run as one JSON object (stats round-trip core.Stats)")
@@ -165,7 +163,6 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 			Seed: *seed, Granularity: *granularity,
 			Amortize: *amortize, WarmStart: *warm, Workers: *workers,
 			DeltaCutover:      f.deltaCutover,
-			RepairCutover:     f.repairCutover,
 			CrossRoundCutover: f.crossRoundCutover,
 			CacheGate:         f.cacheGate,
 		}

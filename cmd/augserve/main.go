@@ -20,10 +20,15 @@
 //	                plus tick-errors, the failed ticks since process start
 //	POST /mutate    queue mutations: JSON array of {"op","u","v","w"}
 //	                (op: insert | delete | reweight; w ignored for delete);
-//	                a body over maxMutateBody bytes is refused with 413
+//	                a body over maxMutateBody bytes is refused with 413, and
+//	                a request that would grow the queue past maxPendingOps
+//	                with 429; a refused request queues nothing
 //	POST /tick      apply the queued batch and re-converge; reports the
 //	                ops applied, the augmentation gain, and the new weight
 //	POST /snapshot  persist a resumable checkpoint to the -snapshot path
+//
+// The listener sets read, write and idle timeouts (see newHTTPServer), so a
+// stalled or idle client cannot hold a connection open indefinitely.
 //
 // With -tick > 0 the server also ticks on a timer; with -tick 0 (the
 // default) ticks happen only on POST /tick, which is what the scripted CI
@@ -55,6 +60,22 @@ import (
 // maxMutateBody bounds one POST /mutate request body. A larger body is
 // refused with 413 before anything is queued.
 const maxMutateBody = 1 << 20
+
+// maxPendingOps bounds the mutation queue between ticks. A request that
+// would grow it past the bound is refused with 429 and queues nothing; a
+// tick drains the queue.
+const maxPendingOps = 1 << 16
+
+// HTTP server timeouts. writeTimeout bounds a whole request from the end
+// of its header to the end of its response, a POST /tick's re-convergence
+// included (and the wait for the lock behind another tick), so it sits far
+// above any tick the service is sized for.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = time.Minute
+	writeTimeout      = 10 * time.Minute
+	idleTimeout       = 2 * time.Minute
+)
 
 func main() {
 	if err := run(os.Args[1:], os.Stdin, os.Stdout); err != nil {
@@ -202,7 +223,7 @@ func writeJSON(w http.ResponseWriter, v any) {
 	enc.Encode(v)
 }
 
-// handler wires the endpoint set. Split from ListenAndServe so the smoke
+// handler wires the endpoint set. Split from the listener so the smoke
 // test drives the identical mux through httptest.
 func (s *server) handler() http.Handler {
 	mux := http.NewServeMux()
@@ -275,6 +296,11 @@ func (s *server) handler() http.Handler {
 		}
 		s.mu.Lock()
 		defer s.mu.Unlock()
+		if s.pending.Len()+batch.Len() > maxPendingOps {
+			http.Error(w, fmt.Sprintf("mutation queue full: %d queued, %d more would pass the bound %d",
+				s.pending.Len(), batch.Len(), maxPendingOps), http.StatusTooManyRequests)
+			return
+		}
 		s.pending.Extend(batch.Ops())
 		writeJSON(w, map[string]any{"queued": s.pending.Len()})
 	})
@@ -368,5 +394,18 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		go s.runTicker(cfg.tick, nil)
 	}
 	fmt.Fprintf(stdout, "listening on %s (n=%d m=%d)\n", cfg.addr, g.N(), g.M())
-	return http.ListenAndServe(cfg.addr, s.handler())
+	return newHTTPServer(cfg.addr, s.handler()).ListenAndServe()
+}
+
+// newHTTPServer is the listener configuration: h served on addr with the
+// package timeouts.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }

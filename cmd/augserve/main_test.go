@@ -3,8 +3,11 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -523,5 +526,104 @@ func TestMutateOversizeQueuesNothing(t *testing.T) {
 	postJSON(t, ts.URL+"/mutate", reqs[:1], &queued)
 	if queued.Queued != 1 {
 		t.Fatalf("queued = %d, want 1", queued.Queued)
+	}
+}
+
+// TestMutateOverQueueQueuesNothing: a /mutate request that would grow the
+// pending queue past maxPendingOps is refused with 429 and queues nothing
+// (the atomicity rule of TestMutateRejectQueuesNothing); the queue up to
+// the bound still applies in full at the next tick.
+func TestMutateOverQueueQueuesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	inst := graph.RandomGraph(12, 30, 16, rng)
+	cfg := config{seed: 2}
+	cfg.opts = cfg.options()
+	s := newServer(inst.G.Clone(), cfg)
+	ts := httptest.NewServer(s.handler())
+	defer ts.Close()
+
+	e := inst.G.EdgeAt(0)
+	op := mutationReq{Op: "reweight", U: e.U, V: e.V, W: 9}
+	chunk := make([]mutationReq, 20000) // well under maxMutateBody per request
+	for i := range chunk {
+		chunk[i] = op
+	}
+	var queued struct{ Queued int }
+	for left := maxPendingOps; left > 0; left -= len(chunk) {
+		reqs := chunk[:min(left, len(chunk))]
+		if resp := postJSON(t, ts.URL+"/mutate", reqs, &queued); resp.StatusCode != http.StatusOK {
+			t.Fatalf("filling the queue: status %d at %d queued", resp.StatusCode, queued.Queued)
+		}
+	}
+	if queued.Queued != maxPendingOps {
+		t.Fatalf("queued = %d, want the bound %d", queued.Queued, maxPendingOps)
+	}
+	if resp := postJSON(t, ts.URL+"/mutate", chunk[:2], nil); resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("over-bound request: status %d, want 429", resp.StatusCode)
+	}
+	postJSON(t, ts.URL+"/mutate", []mutationReq{}, &queued)
+	if queued.Queued != maxPendingOps {
+		t.Fatalf("refused request changed the queue: %d queued, want %d", queued.Queued, maxPendingOps)
+	}
+	var tick struct {
+		Applied int
+		Error   string
+	}
+	postJSON(t, ts.URL+"/tick", nil, &tick)
+	if tick.Applied != maxPendingOps || tick.Error != "" {
+		t.Fatalf("tick applied %d (error %q), want the %d queued ops", tick.Applied, tick.Error, maxPendingOps)
+	}
+	// The drained queue accepts again.
+	postJSON(t, ts.URL+"/mutate", chunk[:1], &queued)
+	if queued.Queued != 1 {
+		t.Fatalf("queued after the tick = %d, want 1", queued.Queued)
+	}
+}
+
+// TestStalledHeaderDropped: the listener's timeouts are set, with the
+// write timeout far above a tick, and a client that stops mid-header is
+// disconnected instead of holding its connection. The header timeout is
+// shortened here so the test does not wait out the production value.
+func TestStalledHeaderDropped(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	cfg := config{seed: 2}
+	cfg.opts = cfg.options()
+	s := newServer(graph.RandomGraph(12, 30, 16, rng).G, cfg)
+	srv := newHTTPServer("127.0.0.1:0", s.handler())
+	if srv.ReadHeaderTimeout <= 0 || srv.ReadTimeout <= 0 || srv.IdleTimeout <= 0 ||
+		srv.WriteTimeout < time.Minute {
+		t.Fatalf("timeouts header=%v read=%v write=%v idle=%v: want all set, write ≥ 1m",
+			srv.ReadHeaderTimeout, srv.ReadTimeout, srv.WriteTimeout, srv.IdleTimeout)
+	}
+	srv.ReadHeaderTimeout = 100 * time.Millisecond
+	ln, err := net.Listen("tcp", srv.Addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	defer srv.Close()
+
+	c, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, err := c.Write([]byte("GET /healthz HTTP/1.1\r\nHost: augserve\r\n")); err != nil {
+		t.Fatal(err)
+	}
+	c.SetReadDeadline(time.Now().Add(5 * time.Second))
+	var ne net.Error
+	if _, err := io.ReadAll(c); errors.As(err, &ne) && ne.Timeout() {
+		t.Fatal("stalled client still connected after 5s")
+	}
+
+	// A complete request is still served.
+	resp, err := http.Get("http://" + ln.Addr().String() + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz after the stall: %s", resp.Status)
 	}
 }

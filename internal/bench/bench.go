@@ -105,7 +105,7 @@ func Registry() map[string]Runner {
 		"E13": E13SolverBound,
 		"E14": E14UniformClass,
 		"E15": E15DeltaBuild,
-		"E16": E16RepairHK,
+		"E16": E16AugProbe,
 		"E17": E17CrossRound,
 		"E18": E18EditStream,
 		"E19": E19SolverMicroarch,

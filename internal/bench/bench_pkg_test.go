@@ -94,15 +94,40 @@ func TestE17CrossRoundHonest(t *testing.T) {
 		if chained[1] != "chained" || local[1] != "round-local" {
 			t.Fatalf("row order drifted: %q then %q", chained[1], local[1])
 		}
-		if chained[7] != local[7] {
-			t.Errorf("%s: final weight diverged: %s vs %s", chained[0], chained[7], local[7])
+		if chained[6] != local[6] {
+			t.Errorf("%s: final weight diverged: %s vs %s", chained[0], chained[6], local[6])
 		}
 		if chained[4] == "0" {
 			t.Errorf("%s: chained run crossed no round boundary", chained[0])
 		}
-		if local[4] != "0" || local[5] != "0" {
-			t.Errorf("%s: round-local run has cross counters %s/%s", local[0], local[4], local[5])
+		if local[4] != "0" {
+			t.Errorf("%s: round-local run has cross builds %s", local[0], local[4])
 		}
+	}
+}
+
+// TestE16AugProbeHonest pins the E16 table: on each shape the probing and
+// the solve-everything rows end at the identical final weight, the probe
+// closed pairs on the band, and the baseline never probes.
+func TestE16AugProbeHonest(t *testing.T) {
+	rows := E16AugProbe(Config{Seed: 1, Trials: 1, Quick: true})[0].Rows
+	if len(rows) != 4 {
+		t.Fatalf("E16 rows = %d, want probe/solve-all pairs on two shapes", len(rows))
+	}
+	for i := 0; i < len(rows); i += 2 {
+		probe, all := rows[i], rows[i+1]
+		if probe[1] != "probe" || all[1] != "solve-all" {
+			t.Fatalf("row order drifted: %q then %q", probe[1], all[1])
+		}
+		if probe[7] != all[7] {
+			t.Errorf("%s: final weight diverged: %s vs %s", probe[0], probe[7], all[7])
+		}
+		if all[4] != "0" {
+			t.Errorf("%s: solve-all run probed %s pairs", all[0], all[4])
+		}
+	}
+	if rows[0][4] == "0" {
+		t.Errorf("%s: the probe closed no pair", rows[0][0])
 	}
 }
 

@@ -51,8 +51,8 @@ func E12Convergence(cfg Config) []Table {
 	}
 
 	// The amortised-pipeline ledger: how much of the round work the
-	// cross-round machinery absorbed. On the naive path the probe, cache,
-	// delta, and repair columns are structurally zero; the builds and
+	// cross-round machinery absorbed. On the naive path the survival-probe,
+	// cache, and delta columns are structurally zero; the builds and
 	// solver-call columns are directly comparable between the two
 	// configurations (bit-identical matchings, see internal/solvertest).
 	// The columns come from core.Stats itself (Stats.Fields), so a counter

@@ -35,8 +35,8 @@ func (s *cycleSource) Seed(int64) {}
 // the PR 4–6 behaviour). Outputs are bit-identical by construction
 // (Invariant 24; asserted per-family by solvertest.TestCrossRoundBitIdentical),
 // so the ms/round ratio isolates what surviving the redraw is worth; the
-// cross-build and cross-repair counters show how much of each round's first
-// build actually crossed the boundary rather than rebuilding from scratch.
+// cross-build counter shows how much of each round's first build actually
+// crossed the boundary rather than rebuilding from scratch.
 func E17CrossRound(cfg Config) []Table {
 	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
@@ -66,7 +66,7 @@ func E17CrossRound(cfg Config) []Table {
 		Title: "cross-round delta chaining across the bipartition redraw",
 		Claim: "chaining the per-class baseline past BeginRound beats restarting it each round",
 		Header: []string{"workload", "config", "ms/round", "delta builds", "cross builds",
-			"cross repairs", "HK phases", "final weight"},
+			"HK phases", "final weight"},
 	}
 	for _, reg := range regimes {
 		for _, c := range []struct {
@@ -92,7 +92,6 @@ func E17CrossRound(cfg Config) []Table {
 				fmt.Sprintf("%.2f", perRound),
 				fi(r.stats.DeltaBuilds),
 				fi(r.stats.CrossRoundDeltaBuilds),
-				fi(r.stats.CrossRoundRepairs),
 				fi(r.stats.SolverPhases),
 				fi64(int64(r.weight)),
 			})

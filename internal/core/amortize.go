@@ -126,16 +126,14 @@ type amortClassCtx struct {
 	warm  *warmState
 
 	// Cross-round delta chaining (Options.CrossRoundCutover ≥ 0): the
-	// class's build arena, its last build, and its repair arena live here —
-	// per class, Solve-lifetime — instead of on the round-scoped worker,
-	// so the chain's baseline survives the bipartition redraw. prevLay
-	// points into scratch's retained build; both are lazily created by the
-	// class's first sweep. rep shadows the worker's repairState under the
-	// same precedence warm uses. All class-private, so worker-count
-	// invariance is preserved exactly as for warm.
+	// class's build arena and its last build live here — per class,
+	// Solve-lifetime — instead of on the round-scoped worker, so the
+	// chain's baseline survives the bipartition redraw. prevLay points into
+	// scratch's retained build; both are lazily created by the class's
+	// first sweep. All class-private, so worker-count invariance is
+	// preserved exactly as for warm.
 	scratch *layered.Scratch
 	prevLay *layered.Layered
-	rep     *repairState
 
 	// quarantined marks the class's amortised context as damaged (a
 	// recovered sweep panic or an escaped corruption sentinel): Round's
@@ -258,76 +256,6 @@ func (pc *pairCache) put(key []byte, cands []candidate) {
 	pc.mu.Lock()
 	pc.m[string(key)] = cacheEntry{cands: cp, sum: sum}
 	pc.mu.Unlock()
-}
-
-// repairState carries a worker's incremental Hopcroft–Karp repair chain
-// (Options.RepairCutover): the retained bipartite arena plus the identity
-// of the instance it last solved — the solve token the arena issued and the
-// BuildSeq of the layered graph the instance came from. A solve whose
-// layered graph was delta-built directly over that instance
-// (DeltaInfo.BaseSeq matches) patches the retained CSR; everything else
-// runs a full retained solve. Both paths return the bit-identical matching
-// and phase count of a fresh HopcroftKarpScratch (Invariant 21), so the
-// sweep's results are invariant under the worker count even though the
-// chain itself is worker-local.
-type repairState struct {
-	hk *bipartite.Scratch
-	// baseTok is the arena's SolveToken after the last retained solve;
-	// baseSeq the BuildSeq of the layered build that solve's instance was
-	// derived from. Both zero until the first retained solve.
-	baseTok uint64
-	baseSeq uint64
-}
-
-// solve runs the retained/repaired exact solver on the pair's bipartite
-// view and returns its phase count. The result stays unmaterialised in the
-// arena: rs.hk.Size() reads its cardinality, and rs.hk.Matching(bip) fills
-// the arena-owned M' — valid only until the next solve on this worker —
-// which classAugmentations does only when the cardinality gate says the
-// solve can augment (see there).
-func (rs *repairState) solve(lay *layered.Layered, bip *bipartite.Bip, cutover int, stats *Stats) int {
-	if d := lay.Delta; d.Valid && rs.baseTok != 0 && d.BaseSeq == rs.baseSeq {
-		// Default gate: patch whenever anything is shared — the E16 table
-		// measured the patch-always extreme at or slightly ahead of
-		// fraction gates on both shapes (the single-scan patch never costs
-		// meaningfully more than prepare).
-		min := cutover
-		if min <= 0 {
-			min = 1
-		}
-		if d.KeptLPrime >= min {
-			info := bipartite.RepairInfo{
-				BaseToken: rs.baseTok,
-				KeptVerts: d.KeptIDs,
-				KeptEdges: d.KeptLPrime,
-			}
-			// Hazard site (chaos testing): corrupt the kept-prefix
-			// descriptor the way a damaged DeltaInfo would. Repair's
-			// bounds check rejects it (ErrRepairInfo) before touching the
-			// arena, so the fall-through below takes over.
-			if faultinject.Fire(faultinject.RepairInfo) {
-				info.KeptEdges = int(^uint32(0) >> 1)
-			}
-			if phases, err := rs.hk.Repair(bip, info); err == nil {
-				stats.RepairSolves++
-				stats.RepairEdgesKept += d.KeptLPrime
-				rs.record(lay)
-				return phases
-			}
-			// Solve rung of the ladder: a rejected baseline (ErrRepair*,
-			// real or injected) degrades to the full retained solve below,
-			// never to a wrong matching or an error.
-			stats.FallbackSolves++
-		}
-	}
-	phases := rs.hk.SolveRetained(bip)
-	rs.record(lay)
-	return phases
-}
-
-func (rs *repairState) record(lay *layered.Layered) {
-	rs.baseTok = rs.hk.SolveToken()
-	rs.baseSeq = lay.BuildSeq()
 }
 
 // warmState carries one class's Hopcroft–Karp warm start: the previous

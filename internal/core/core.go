@@ -21,9 +21,10 @@
 // or an augmentation touched; within and across rounds each class chains
 // its layered-graph builds through layered.BuildDelta, patching the
 // previous build instead of rebuilding (the layered.RoundChainer interface
-// is how BuildDelta proves a cross-round baseline fresh); and the default
-// exact solver retains its adjacency CSR per class so a delta-built pair
-// repairs the previous solve (bipartite.RepairHK) instead of re-solving.
+// is how BuildDelta proves a cross-round baseline fresh). Before solving, the
+// default exact solver asks the layered graph whether it can augment at all
+// (layered.Layered.CanAugment, one sweep over the layers): the ~99% of
+// pairs that cannot skip Hopcroft–Karp and the walk scan outright.
 // Every differential layer is bit-identical to its from-scratch
 // counterpart by construction, and the differential suite in
 // internal/solvertest asserts it family by family.
@@ -33,11 +34,10 @@
 // Retained state can go stale or corrupt (and the chaos suite forces it
 // to): each amortised layer checks its baseline and degrades one rung —
 // never to an error. A rejected delta baseline (the five layered.ErrDelta*
-// sentinels) rebuilds from scratch; a rejected repair baseline (the three
-// bipartite.ErrRepair* sentinels) re-solves cold; a cache entry failing
-// its checksum is evicted and re-solved; a poisoned class context is
-// quarantined for the rest of the Solve; a worker panic resets the whole
-// amortised context. The eight sentinels are the recoverable contract:
+// sentinels) rebuilds from scratch; a cache entry failing its checksum is
+// evicted and re-solved; a poisoned class context is quarantined for the
+// rest of the Solve; a worker panic resets the whole amortised context.
+// The five sentinels are the recoverable contract:
 // Stats.Fallback* counters record every rung taken, and results stay
 // bit-identical because each rung's cold path is the definition the warm
 // path is proved against.
@@ -181,42 +181,22 @@ type Options struct {
 	// bit-identical to from-scratch builds by construction, asserted by
 	// TestBuildDeltaMatchesBuildIndexed and FuzzBuildDelta.
 	DeltaCutover int
-	// RepairCutover tunes the incremental Hopcroft–Karp repair, the
-	// solver-side twin of the delta chain: with the default exact solver,
-	// every solve retains its adjacency CSR and result arena
-	// (bipartite.HopcroftKarpRetained), and a solve whose layered graph was
-	// delta-built over the instance of the previous solve patches the
-	// retained CSR (bipartite.RepairHK) instead of rebuilding it — whenever
-	// at least RepairCutover edges of the L' list are byte-shared with the
-	// baseline (DeltaInfo.KeptLPrime). 0 uses the default gate (patch
-	// whenever anything is shared; the retained arena saves the per-solve
-	// allocations either way), negative disables the repair path
-	// entirely (every solve is a fresh HopcroftKarpScratch) — the
-	// measurement baseline of the E16 experiment. The repaired solve is
-	// bit-identical to the fresh one — same matching, same phase count —
-	// because the patched CSR is byte-identical to the rebuilt one
-	// (Invariant 21); see Stats.RepairSolves / RepairEdgesKept. Ignored
-	// when a Solver/SolverFactory/PhasedSolverFactory closure or WarmStart
-	// is installed — only the default exact solver retains repair state.
-	RepairCutover int
 	// CrossRoundCutover gates the cross-round extension of the delta chain
 	// (PR 7): with it enabled each class's builds chain on a class-private
 	// arena that survives the round boundary, so the first build of a
 	// class-round is delta-built over the previous round's last build — the
 	// chain crosses the bipartition redraw, keeping exactly the segments
 	// whose buckets the incremental index proves unchanged
-	// (layered.RoundChainer) — and the incremental Hopcroft–Karp repair
-	// extends across rounds with it (DeltaInfo already names the base
-	// build). 0 uses the default gate (chain across the redraw whenever
-	// anything is reusable); a positive value requires at least that many
-	// reusable segments at the round link before chaining (below it the
-	// link build rebuilds in place, exactly as a too-small same-round delta
-	// does); negative disables the extension — every class chain restarts at
-	// each BeginRound, the round-local behaviour of PRs 4–6 and the
-	// measurement baseline of the E17 experiment. Cross-round chained builds
-	// and repairs are bit-identical to round-local ones by construction
-	// (Invariant 24); see Stats.CrossRoundDeltaBuilds / CrossRoundRepairs.
-	// Ignored unless Amortize is set and DeltaCutover ≥ 0.
+	// (layered.RoundChainer). 0 uses the default gate (chain across the
+	// redraw whenever anything is reusable); a positive value requires at
+	// least that many reusable segments at the round link before chaining
+	// (below it the link build rebuilds in place, exactly as a too-small
+	// same-round delta does); negative disables the extension — every class
+	// chain restarts at each BeginRound, the round-local behaviour of PRs
+	// 4–6 and the measurement baseline of the E17 experiment. Cross-round
+	// chained builds are bit-identical to round-local ones by construction
+	// (Invariant 24); see Stats.CrossRoundDeltaBuilds. Ignored unless
+	// Amortize is set and DeltaCutover ≥ 0.
 	CrossRoundCutover int
 	// CacheGate tunes the per-class hit-rate gate on the cross-class solve
 	// cache: a class whose cache lookups have produced zero hits after
@@ -251,7 +231,7 @@ type Options struct {
 
 // hasFactory reports whether a per-class solver factory (phased or plain)
 // is installed; customSolver whether any caller-installed subroutine is —
-// the configurations that disable the default solver's warm/repair/cache
+// the configurations that disable the default solver's warm/probe/cache
 // machinery.
 func (o Options) hasFactory() bool {
 	return o.SolverFactory != nil || o.PhasedSolverFactory != nil
@@ -290,10 +270,17 @@ type Stats struct {
 	// Rounds is the number of Algorithm 3 rounds executed.
 	Rounds int
 	// SolverCalls counts Unw-Bip-Matching invocations (one per surviving
-	// (W, τ-pair) combination).
+	// (W, τ-pair) combination with a non-empty L'), the pairs the
+	// augmentability probe closed included.
 	SolverCalls int
-	// SolverPhases accumulates the Hopcroft–Karp phase counts of those
-	// invocations — the unit of work a warm start saves. Tracked only for
+	// AugProbeSkips counts the subset of SolverCalls the augmentability
+	// probe (layered.Layered.CanAugment) closed without running the solver:
+	// L' holds no ML'-augmenting path, so an exact solve could not have
+	// yielded a walk. Only the default exact solver without WarmStart probes;
+	// installed solvers and warm runs leave it 0.
+	AugProbeSkips int
+	// SolverPhases accumulates the Hopcroft–Karp phase counts of the solves
+	// that ran — the unit of work a warm start saves. Tracked only for
 	// the default (scratch-backed or warm-started) exact solvers; installed
 	// Solver/SolverFactory closures leave it 0.
 	SolverPhases int
@@ -323,28 +310,12 @@ type Stats struct {
 	// Y gaps) the differential builder carried over unchanged across all
 	// DeltaBuilds.
 	DeltaLayersReused int
-	// RepairSolves counts solver calls served by the incremental repair
-	// path (layered.DeltaInfo handed to bipartite.RepairHK: CSR patched
-	// from the previous solve instead of rebuilt — bit-identical result,
-	// always 0 on the naive path and at RepairCutover < 0).
-	RepairSolves int
-	// RepairEdgesKept accumulates the byte-shared L' edge-list prefix
-	// lengths across all RepairSolves — the adjacency entries the repair
-	// reused instead of re-deriving. (The ISSUE sketched this counter as
-	// "matches kept"; the shipped repair keeps the adjacency, not the
-	// matches — see DESIGN.md PR 5 for why seeding was rejected.)
-	RepairEdgesKept int
 	// CrossRoundDeltaBuilds counts delta builds whose baseline was the
 	// class's last build of a PREVIOUS round: the chain crossed a
 	// bipartition redraw instead of restarting at BeginRound (always 0 on
 	// the naive path and at CrossRoundCutover < 0). Every such build is
 	// also counted in DeltaBuilds.
 	CrossRoundDeltaBuilds int
-	// CrossRoundRepairs counts RepairSolves whose patched baseline solve
-	// belonged to a previous round — the repair chain extended across the
-	// redraw together with the build chain (always 0 unless both the
-	// repair path and cross-round chaining are on).
-	CrossRoundRepairs int
 	// ClassesSkippedDirty counts (round, class) combinations the
 	// round-scoped dirty gate skipped outright: classes whose τ windows
 	// contained no crossing edge, which provably enumerate zero surviving
@@ -355,11 +326,6 @@ type Stats struct {
 	// sentinel or injected staleness) — the build rung of the degradation
 	// ladder. Always 0 while the chain is healthy.
 	FallbackBuilds int
-	// FallbackSolves counts repair-path solver calls that degraded to a
-	// full retained solve after the baseline or descriptor was rejected
-	// (ErrRepair* sentinel or injected corruption) — the solve rung of the
-	// ladder. Always 0 while the repair chain is healthy.
-	FallbackSolves int
 	// FallbackCacheDrops counts cross-class cache hits discarded because
 	// the entry failed its checksum self-check: the entry is evicted and
 	// the pair re-solved, so a corrupted cached candidate set can never
@@ -506,13 +472,6 @@ type classWorker struct {
 	// default solver configuration).
 	warm *warmState
 
-	// repair, when non-nil, replaces the solver with the retained exact
-	// solver that patches the previous solve's CSR for delta-built
-	// instances (Options.RepairCutover ≥ 0 with the default solver
-	// configuration; mutually exclusive with warm, which changes outputs
-	// while repair is bit-identical).
-	repair *repairState
-
 	// used is the class-level conflict set as a stamp array over original
 	// vertices (advancing the stamp clears it in O(1) between classes).
 	used      []uint32
@@ -584,20 +543,18 @@ func newClassWorker(opts Options) *classWorker {
 		w.newSolver = func(*rand.Rand) Solver { return opts.Solver }
 	default:
 		// Default oracle: exact Hopcroft–Karp over a worker-private arena,
-		// so the hundreds of solver calls per round stop allocating their
-		// adjacency and search state.
+		// so the solver calls stop allocating their adjacency, search state
+		// and result matching (arena-owned: classAugmentations is done with
+		// M' before the worker's next solve).
 		hk := bipartite.NewScratch()
 		solver := Solver(func(b *bipartite.Bip) (*graph.Matching, error) {
-			res := bipartite.HopcroftKarpScratch(b, hk)
+			res := bipartite.HopcroftKarpRetained(b, hk)
 			w.lastPhases = res.Phases
 			return res.M, nil
 		})
 		w.newSolver = func(*rand.Rand) Solver { return solver }
-		switch {
-		case opts.WarmStart:
+		if opts.WarmStart {
 			w.warm = newWarmState(hk)
-		case opts.RepairCutover >= 0:
-			w.repair = &repairState{hk: hk}
 		}
 	}
 	return w
@@ -623,6 +580,20 @@ type Runner struct {
 	// delta builds to Stats.MutationDeltaBuilds (their baselines predate
 	// the edits, so every link crossed the mutation boundary).
 	mutPending bool
+
+	// workers are the class sweep's per-worker arenas, slot n owned by
+	// pool goroutine n during a Round. They persist across rounds so the
+	// arenas grow once per Runner instead of once per round; a nil slot is
+	// created on first use.
+	workers []*classWorker
+}
+
+// worker returns the runner's n-th class worker, creating it if needed.
+func (r *Runner) worker(n int) *classWorker {
+	if r.workers[n] == nil {
+		r.workers[n] = newClassWorker(r.opts)
+	}
+	return r.workers[n]
 }
 
 // NewRunner prepares a round runner for g. With opts.Amortize the
@@ -731,20 +702,19 @@ func (r *Runner) Round(m *graph.Matching, stats *Stats) (graph.Weight, error) {
 		perClass[i], perErr[i] = classAugmentations(
 			par, m, weights[i], w.newSolver(rng), w, opts, &perStats[i], ac)
 	}
-	// safeRunClass contains a worker panic: the recovered value is recorded
-	// as a *PanicError for the fallback pass below, and ok = false tells
-	// the caller to discard the worker — its arenas may be mid-mutation.
-	// This is what keeps a panicking solver (or an injected chaos panic)
-	// from killing the process under Workers > 1.
-	safeRunClass := func(w *classWorker, i int) (ok bool) {
+	// safeRunClass runs class i on worker n and contains a worker panic:
+	// the recovered value is recorded as a *PanicError for the fallback
+	// pass below, and the worker is discarded — its arenas may be
+	// mid-mutation. This is what keeps a panicking solver (or an injected
+	// chaos panic) from killing the process under Workers > 1.
+	safeRunClass := func(n, i int) {
 		defer func() {
 			if p := recover(); p != nil {
 				perErr[i] = &PanicError{Class: i, Value: p, Stack: debug.Stack()}
-				ok = false
+				r.workers[n] = nil
 			}
 		}()
-		runClass(w, i)
-		return true
+		runClass(r.worker(n), i)
 	}
 	// Round-scoped dirty gate: a class whose τ windows contain no crossing
 	// edge this round enumerates zero surviving pairs (the windows hold no
@@ -767,15 +737,15 @@ func (r *Runner) Round(m *graph.Matching, stats *Stats) (graph.Weight, error) {
 		stats.ClassesSkippedDirty++
 		return true
 	}
+	if len(r.workers) < max(workers, 1) {
+		r.workers = make([]*classWorker, max(workers, 1))
+	}
 	if workers <= 1 {
-		w := newClassWorker(opts)
 		for i := range weights {
 			if skipClean(i) {
 				continue
 			}
-			if !safeRunClass(w, i) {
-				w = newClassWorker(opts)
-			}
+			safeRunClass(0, i)
 		}
 	} else {
 		var wg sync.WaitGroup
@@ -784,11 +754,8 @@ func (r *Runner) Round(m *graph.Matching, stats *Stats) (graph.Weight, error) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				w := newClassWorker(opts)
 				for i := range classes {
-					if !safeRunClass(w, i) {
-						w = newClassWorker(opts)
-					}
+					safeRunClass(n, i)
 				}
 			}()
 		}
@@ -911,7 +878,9 @@ func oracleOf(ac *amortClassCtx) (layered.SurvivalOracle, bool) {
 // rejects pairs whose layered graph would have no Y edge (exactly the
 // pairs the naive loop builds and then skips), the cross-class cache
 // replays the candidates of an identical layered graph solved earlier this
-// round, and a warm solver seeds Hopcroft–Karp from the previous pair.
+// round, and a warm solver seeds Hopcroft–Karp from the previous pair. On
+// both paths the default exact solver is preceded by the augmentability
+// probe, which closes every pair whose L' holds no ML'-augmenting path.
 //
 // Note: Algorithm 4 as analysed returns only the single best pair's set
 // A(τA,τB); the union with a shared conflict set is pointwise at least as
@@ -995,20 +964,10 @@ func classAugmentations(
 	} else if warm != nil {
 		warm.resetClass()
 	}
-	rep := cw.repair
-	if rep != nil && crossRound {
-		// Like the build arena, the repair baseline must be class-private to
-		// survive the round boundary; the worker's arena would hand class A's
-		// retained CSR to class B next round (the token check would catch it,
-		// but every link solve would then fall back cold).
-		if ac.rep == nil {
-			ac.rep = &repairState{hk: bipartite.NewScratch()}
-		}
-		rep = ac.rep
-	}
-	if warm != nil {
-		rep = nil
-	}
+	// Augmentability probe: only where M' is an exact maximum matching and
+	// nothing else consumes the solve — installed solvers may count calls or
+	// draw randomness, and a warm solve's result seeds the next pair's.
+	probe := !opts.customSolver() && warm == nil
 	var cands []candidate
 	var key []byte
 
@@ -1060,7 +1019,6 @@ func classAugmentations(
 			}
 		}
 		var lay *layered.Layered
-		crossBuilt := false
 		if ac != nil && prevLay != nil && opts.DeltaCutover >= 0 {
 			cut := opts.DeltaCutover
 			if cut == 0 {
@@ -1076,7 +1034,6 @@ func classAugmentations(
 				stats.DeltaLayersReused += reusedSegs
 				if link {
 					stats.CrossRoundDeltaBuilds++
-					crossBuilt = true
 				}
 			} else {
 				// Build rung of the ladder: a rejected baseline (ErrDelta*,
@@ -1092,48 +1049,30 @@ func classAugmentations(
 		if len(lay.Y) == 0 {
 			continue
 		}
-		lp := lay.LPrimeEdges()
-		if len(lp) == 0 {
-			continue
-		}
-		bip := &bipartite.Bip{N: lay.NumV, Side: lay.Sides(), Edges: lp}
 		stats.SolverCalls++
-		var mPrime *graph.Matching
-		gated := false
-		switch {
-		case warm != nil:
-			var phases int
-			mPrime, phases = warm.solve(lay, bip)
-			stats.SolverPhases += phases
-		case rep != nil:
-			repairedBefore := stats.RepairSolves
-			stats.SolverPhases += rep.solve(lay, bip, opts.RepairCutover, stats)
-			if crossBuilt && stats.RepairSolves > repairedBefore {
-				// The patched baseline solve belonged to the previous
-				// round: the repair chain crossed the redraw too.
-				stats.CrossRoundRepairs++
-			}
-			// Cardinality gate (Invariant 28): ML' ⊆ L' and M' is an exact
-			// maximum matching of L', so ML' Δ M' holds no M'-augmenting
-			// component and exactly |M'| − |ML'| augmenting walks. When
-			// the solve did not grow ML' there is nothing to extract, and
-			// M' is never materialised. Only exact solves may take it: a
-			// (1−δ) solver's M' need not be maximum, so |M'| = |ML'| does
-			// not rule out augmenting walks there.
-			if gated = rep.hk.Size() == len(lay.InteriorX); !gated {
-				mPrime = rep.hk.Matching(bip)
-			}
-		default:
-			cw.lastPhases = 0
-			var err error
-			mPrime, err = solver(bip)
-			if err != nil {
-				return nil, err
-			}
-			stats.SolverPhases += cw.lastPhases
-		}
 		start := len(cands)
-		if !gated {
+		// Augmentability probe (Invariant 29): M' can only yield an
+		// augmenting walk when |M'| > |ML'|, which by Berge's lemma holds
+		// exactly when L' has an ML'-augmenting path — one sweep over the
+		// layers decides it before any bipartite view or solve exists.
+		if probe && !lay.CanAugment() {
+			stats.AugProbeSkips++
+		} else {
+			bip := &bipartite.Bip{N: lay.NumV, Side: lay.Sides(), Edges: lay.LPrimeEdges()}
+			var mPrime *graph.Matching
+			if warm != nil {
+				var phases int
+				mPrime, phases = warm.solve(lay, bip)
+				stats.SolverPhases += phases
+			} else {
+				cw.lastPhases = 0
+				var err error
+				mPrime, err = solver(bip)
+				if err != nil {
+					return nil, err
+				}
+				stats.SolverPhases += cw.lastPhases
+			}
 			lay.AugmentingWalks(mPrime, func(walk layered.Walk) {
 				if aug, gain, ok := scratch.BestAugmentation(m, walk); ok {
 					cands = append(cands, candidate{aug: aug, gain: gain})

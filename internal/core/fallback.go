@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/bipartite"
 	"repro/internal/layered"
 )
 
@@ -51,9 +50,6 @@ var stateFaultSentinels = []error{
 	layered.ErrDeltaScratch,
 	layered.ErrDeltaStale,
 	layered.ErrDeltaMismatch,
-	bipartite.ErrRepairNoBase,
-	bipartite.ErrRepairStale,
-	bipartite.ErrRepairInfo,
 }
 
 // recoverableFault reports whether err is a state fault the ladder may

@@ -149,7 +149,7 @@ func TestBeginRoundPanicResets(t *testing.T) {
 }
 
 // TestSentinelsNeverEscapeSolve is the satellite-2 audit pin: every
-// ErrDelta*/ErrRepair* producing site inside the solve pipeline converts
+// ErrDelta* producing site inside the solve pipeline converts
 // the sentinel into an inline fallback. Saturated injection fires every
 // reachable hazard site on every call; if any call site still propagated
 // its sentinel, Solve would return it here.
@@ -168,7 +168,7 @@ func TestSentinelsNeverEscapeSolve(t *testing.T) {
 				t.Errorf("rate %g: sentinel %v escaped to the Solve caller", rate, s)
 			}
 		}
-		total := res.Stats.FallbackBuilds + res.Stats.FallbackSolves +
+		total := res.Stats.FallbackBuilds +
 			res.Stats.FallbackCacheDrops + res.Stats.FallbackClasses +
 			res.Stats.FallbackSweeps + res.Stats.FallbackResets
 		if total == 0 {
@@ -178,13 +178,12 @@ func TestSentinelsNeverEscapeSolve(t *testing.T) {
 }
 
 // TestRecoverableFaultTaxonomy pins the ladder's error classification: all
-// eight corruption sentinels and recovered panics are absorbable; anything
+// five corruption sentinels and recovered panics are absorbable; anything
 // else (a solver's contract error) is not.
 func TestRecoverableFaultTaxonomy(t *testing.T) {
 	for _, s := range []error{
 		layered.ErrDeltaNoBase, layered.ErrDeltaDetached, layered.ErrDeltaScratch,
 		layered.ErrDeltaStale, layered.ErrDeltaMismatch,
-		bipartite.ErrRepairNoBase, bipartite.ErrRepairStale, bipartite.ErrRepairInfo,
 	} {
 		if !recoverableFault(s) {
 			t.Errorf("sentinel %v not classified recoverable", s)

@@ -9,17 +9,18 @@ import (
 	"repro/internal/graph"
 )
 
-// repairTestSolve runs a fixed-budget amortised Solve on the banded shape
-// with the given repair cutover.
-func repairTestSolve(t *testing.T, g *graph.Graph, cutover, workers int) Result {
+// probeTestSolve runs a fixed-budget amortised Solve on the banded shape:
+// with solver nil the default exact solver, which probes every pair before
+// solving it; otherwise the installed closure, which solves every pair.
+func probeTestSolve(t *testing.T, g *graph.Graph, solver Solver, workers int) Result {
 	t.Helper()
 	res, err := Solve(g, nil, Options{
-		Amortize:      true,
-		RepairCutover: cutover,
-		Workers:       workers,
-		Rng:           rand.New(rand.NewSource(17)),
-		MaxRounds:     4,
-		Patience:      4,
+		Amortize:  true,
+		Solver:    solver,
+		Workers:   workers,
+		Rng:       rand.New(rand.NewSource(17)),
+		MaxRounds: 4,
+		Patience:  4,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -27,44 +28,46 @@ func repairTestSolve(t *testing.T, g *graph.Graph, cutover, workers int) Result 
 	return res
 }
 
-// TestRepairSolveBitIdentical is the core-level repair differential: at
-// every cutover setting the final matching, the phase counts, and the
-// applied augmentations equal the repair-disabled run's (Invariant 21).
-// The family-wide sweep lives in internal/solvertest.
-func TestRepairSolveBitIdentical(t *testing.T) {
+// TestProbeSolveBitIdentical is the core-level probe differential
+// (Invariant 29): the default path, which closes the pairs whose L' cannot
+// augment before solving them, returns the matching of the same exact
+// Hopcroft–Karp installed as Options.Solver, which solves and walks every
+// pair. An installed solver turns the cross-class cache off, so the pair
+// counts are compared as SolverCalls + CacheHits. The family-wide sweep
+// lives in internal/solvertest.
+func TestProbeSolveBitIdentical(t *testing.T) {
 	inst := graph.BandedWeights(48, 8*48, 100, rand.New(rand.NewSource(4)))
-	ref := repairTestSolve(t, inst.G, -1, 1)
-	if ref.Stats.RepairSolves != 0 {
-		t.Fatalf("disabled run recorded %d repair solves", ref.Stats.RepairSolves)
+	ref := probeTestSolve(t, inst.G, ExactSolver(), 1)
+	if ref.Stats.AugProbeSkips != 0 {
+		t.Fatalf("installed solver was probed %d times", ref.Stats.AugProbeSkips)
 	}
-	for _, cutover := range []int{0, 1, 4} {
-		got := repairTestSolve(t, inst.G, cutover, 1)
-		sameMatching(t, "repair vs scratch", ref.M, got.M)
-		if got.Stats.SolverPhases != ref.Stats.SolverPhases {
-			t.Fatalf("cutover %d: phases %d, want %d", cutover, got.Stats.SolverPhases, ref.Stats.SolverPhases)
-		}
-		if got.Stats.AppliedAugmentations != ref.Stats.AppliedAugmentations {
-			t.Fatalf("cutover %d: applied %d, want %d", cutover, got.Stats.AppliedAugmentations, ref.Stats.AppliedAugmentations)
-		}
+	got := probeTestSolve(t, inst.G, nil, 1)
+	sameMatching(t, "probe vs solve-all", ref.M, got.M)
+	if got.Stats.Gain != ref.Stats.Gain || got.Stats.AppliedAugmentations != ref.Stats.AppliedAugmentations ||
+		got.Stats.LayeredBuilt != ref.Stats.LayeredBuilt {
+		t.Fatalf("probe run stats %+v, want %+v", got.Stats, ref.Stats)
 	}
-	if got := repairTestSolve(t, inst.G, 0, 1); got.Stats.RepairSolves == 0 {
-		t.Fatal("default cutover never repaired on the banded shape")
+	if s, r := got.Stats.SolverCalls+got.Stats.CacheHits, ref.Stats.SolverCalls; s != r {
+		t.Fatalf("solves+hits %d, want %d", s, r)
+	}
+	if got.Stats.AugProbeSkips == 0 || got.Stats.AugProbeSkips >= got.Stats.SolverCalls {
+		t.Fatalf("probe closed %d of %d pairs: want some, not all", got.Stats.AugProbeSkips, got.Stats.SolverCalls)
 	}
 }
 
-// TestRepairParallelWorkers pins worker-count invariance of the repair
-// path — chains are worker-local, results must not be — and, run under
-// -race in CI, is the concurrency net for the per-worker retained arenas
-// at Workers=4. The cross-class cache's hit placement is scheduling-
-// dependent under a worker pool (values are pure, so results are not), so
-// the assertion covers the matching and the scheduling-independent
-// counters, with SolverCalls+CacheHits invariant as a sum.
-func TestRepairParallelWorkers(t *testing.T) {
+// TestProbeParallelWorkers pins worker-count invariance of the probed path
+// and, run under -race in CI, is the concurrency net for the per-worker
+// probe tables at Workers=4. The cross-class cache's hit placement is
+// scheduling-dependent under a worker pool (values are pure, so results
+// are not), so which solves the probe meets shifts with it: the assertion
+// covers the matching and the scheduling-independent counters, with
+// SolverCalls+CacheHits invariant as a sum.
+func TestProbeParallelWorkers(t *testing.T) {
 	inst := graph.BandedWeights(48, 8*48, 100, rand.New(rand.NewSource(4)))
-	ref := repairTestSolve(t, inst.G, 0, 1)
+	ref := probeTestSolve(t, inst.G, nil, 1)
 	for _, workers := range []int{2, 4} {
-		got := repairTestSolve(t, inst.G, 0, workers)
-		sameMatching(t, "parallel repair", ref.M, got.M)
+		got := probeTestSolve(t, inst.G, nil, workers)
+		sameMatching(t, "parallel probe", ref.M, got.M)
 		if got.Stats.Gain != ref.Stats.Gain ||
 			got.Stats.AppliedAugmentations != ref.Stats.AppliedAugmentations ||
 			got.Stats.Rounds != ref.Stats.Rounds ||
@@ -76,8 +79,8 @@ func TestRepairParallelWorkers(t *testing.T) {
 		if s, r := got.Stats.SolverCalls+got.Stats.CacheHits, ref.Stats.SolverCalls+ref.Stats.CacheHits; s != r {
 			t.Fatalf("workers=%d: solves+hits %d, want %d", workers, s, r)
 		}
-		if got.Stats.RepairSolves == 0 {
-			t.Fatalf("workers=%d: repair never engaged", workers)
+		if got.Stats.AugProbeSkips == 0 {
+			t.Fatalf("workers=%d: probe never closed a pair", workers)
 		}
 	}
 }

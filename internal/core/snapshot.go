@@ -7,7 +7,7 @@ package core
 // The checkpoint persists the run's *generators*, not its caches: the
 // graph, the matching so far, the round/stall counters, the accumulated
 // Stats, and the exact position of the Rng stream (seed + draw count).
-// The amortised context — incremental index, delta chains, retained CSRs,
+// The amortised context — incremental index, delta chains, worker arenas,
 // cross-class cache — is deliberately not serialised: NewRunner rebuilds
 // all of it deterministically from (graph, matching), and the differential
 // suite's rebuild-twin equivalence (a fresh Runner's Round equals a
@@ -100,37 +100,35 @@ func (s *CountingSource) Draws() uint64 { return s.draws }
 // the options it is handed (Workers excepted: results are invariant under
 // the worker count, so a resume may rescale the pool freely).
 type CheckpointMeta struct {
-	Granularity   float64
-	MaxLayers     int
-	SumCap        float64
-	ClassBase     float64
-	MaxRounds     int
-	Patience      int
-	MaxPairs      int
-	Workers       int
-	Amortize      bool
-	WarmStart     bool
-	DeltaCutover  int
-	RepairCutover int
-	CacheGate     int
+	Granularity  float64
+	MaxLayers    int
+	SumCap       float64
+	ClassBase    float64
+	MaxRounds    int
+	Patience     int
+	MaxPairs     int
+	Workers      int
+	Amortize     bool
+	WarmStart    bool
+	DeltaCutover int
+	CacheGate    int
 }
 
 func metaOf(opts Options) CheckpointMeta {
 	opts = opts.withDefaults()
 	return CheckpointMeta{
-		Granularity:   opts.Layered.Granularity,
-		MaxLayers:     opts.Layered.MaxLayers,
-		SumCap:        opts.Layered.SumCap,
-		ClassBase:     opts.ClassBase,
-		MaxRounds:     opts.MaxRounds,
-		Patience:      opts.Patience,
-		MaxPairs:      opts.MaxPairsPerClass,
-		Workers:       opts.Workers,
-		Amortize:      opts.Amortize,
-		WarmStart:     opts.WarmStart,
-		DeltaCutover:  opts.DeltaCutover,
-		RepairCutover: opts.RepairCutover,
-		CacheGate:     opts.CacheGate,
+		Granularity:  opts.Layered.Granularity,
+		MaxLayers:    opts.Layered.MaxLayers,
+		SumCap:       opts.Layered.SumCap,
+		ClassBase:    opts.ClassBase,
+		MaxRounds:    opts.MaxRounds,
+		Patience:     opts.Patience,
+		MaxPairs:     opts.MaxPairsPerClass,
+		Workers:      opts.Workers,
+		Amortize:     opts.Amortize,
+		WarmStart:    opts.WarmStart,
+		DeltaCutover: opts.DeltaCutover,
+		CacheGate:    opts.CacheGate,
 	}
 }
 
@@ -273,7 +271,6 @@ func encodeDriver(cp *Checkpoint) []byte {
 	kv("amortize", strconv.FormatBool(m.Amortize))
 	kv("warm-start", strconv.FormatBool(m.WarmStart))
 	kv("delta-cutover", strconv.Itoa(m.DeltaCutover))
-	kv("repair-cutover", strconv.Itoa(m.RepairCutover))
 	kv("cache-gate", strconv.Itoa(m.CacheGate))
 	return []byte(b.String())
 }
@@ -335,7 +332,6 @@ func decodeDriver(data []byte, cp *Checkpoint) error {
 		func() (err error) { m.Amortize, err = getb("amortize"); return },
 		func() (err error) { m.WarmStart, err = getb("warm-start"); return },
 		func() (err error) { m.DeltaCutover, err = geti("delta-cutover"); return },
-		func() (err error) { m.RepairCutover, err = geti("repair-cutover"); return },
 		func() (err error) { m.CacheGate, err = geti("cache-gate"); return },
 	}
 	for _, step := range steps {

@@ -76,7 +76,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	cp := &Checkpoint{
 		Graph: g, M: m,
 		Round: 5, Stalled: 2,
-		Stats:   Stats{Rounds: 5, SolverCalls: 321, FallbackSolves: 2, Gain: 777},
+		Stats:   Stats{Rounds: 5, SolverCalls: 321, AugProbeSkips: 300, FallbackBuilds: 2, Gain: 777},
 		RngSeed: -9, RngDraws: 12345,
 		Meta: metaOf(snapshotTestOptions()),
 	}
@@ -112,6 +112,22 @@ func equalMatchings(a, b *graph.Matching) bool {
 		}
 	}
 	return true
+}
+
+// TestCheckpointIgnoresRetiredOptions: the driver section of a snapshot
+// written while Options.RepairCutover existed carries a repair-cutover
+// line; the reader ignores it, so such a snapshot still decodes to the
+// same fingerprint and resumes.
+func TestCheckpointIgnoresRetiredOptions(t *testing.T) {
+	cp := &Checkpoint{Round: 3, Stalled: 1, RngSeed: 7, RngDraws: 99, Meta: metaOf(snapshotTestOptions())}
+	old := append(encodeDriver(cp), "repair-cutover=-1\n"...)
+	var dec Checkpoint
+	if err := decodeDriver(old, &dec); err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	if dec.Meta != cp.Meta || dec.Round != cp.Round || dec.RngDraws != cp.RngDraws {
+		t.Fatalf("decoded %+v, want %+v", dec, cp)
+	}
 }
 
 // TestSolveCheckpointedMatchesSolve: threading the Rng through the counting
@@ -203,8 +219,7 @@ func TestKillResumeBitIdentical(t *testing.T) {
 		}
 		// Losing the in-memory chain can only cost reuse, never invent it.
 		if resumed.Stats.DeltaBuilds > full.Stats.DeltaBuilds ||
-			resumed.Stats.CrossRoundDeltaBuilds > full.Stats.CrossRoundDeltaBuilds ||
-			resumed.Stats.RepairSolves > full.Stats.RepairSolves {
+			resumed.Stats.CrossRoundDeltaBuilds > full.Stats.CrossRoundDeltaBuilds {
 			t.Fatalf("killAfter=%d: resumed run chained MORE than the uninterrupted one:\n got %+v\nwant %+v",
 				killAfter, resumed.Stats, full.Stats)
 		}
@@ -212,17 +227,14 @@ func TestKillResumeBitIdentical(t *testing.T) {
 }
 
 // chainEffortNormalized zeroes the amortisation-effort counters that depend
-// on retained in-memory arenas (the delta and repair chains, PR 7's
-// cross-round baselines included): a resumed run restarts every class chain
+// on retained in-memory arenas (the delta chain, PR 7's cross-round
+// baselines included): a resumed run restarts every class chain
 // at the checkpoint boundary, so these may fall short of the uninterrupted
 // run's while all result-bearing fields stay bit-identical.
 func chainEffortNormalized(s Stats) Stats {
 	s.DeltaBuilds = 0
 	s.DeltaLayersReused = 0
-	s.RepairSolves = 0
-	s.RepairEdgesKept = 0
 	s.CrossRoundDeltaBuilds = 0
-	s.CrossRoundRepairs = 0
 	return s
 }
 

@@ -1,15 +1,17 @@
 // Package faultinject is the deterministic fault-injection harness behind
 // the degradation-ladder chaos tests (internal/solvertest, PR 6): a set of
 // injection points compiled into the amortised pipeline's hazard sites —
-// the places where retained cross-round state (delta-chain arenas, repair
-// CSRs, cache digests, the dirty-class bitmap) could go stale or corrupt —
-// plus a seed-keyed injector that fires each site at a configured rate.
+// the places where retained cross-round state (delta-chain arenas, cache
+// digests, the dirty-class bitmap) could go stale or corrupt — plus a
+// seed-keyed injector that fires each site at a configured rate. One more
+// site lives in bipartite.RepairHK, whose retained-CSR repair only the
+// benchmark replay and the bipartite tests still drive.
 //
 // Every injected fault is DETECTABLE by construction: a site either raises
-// one of the ladder's eight recoverable sentinels (the five
-// layered.ErrDelta* baseline rejections and the three bipartite.ErrRepair*
-// ones), corrupts state that a checksum self-check covers (cache digests,
-// the dirty bitmap), or panics where the worker pool recovers. The degradation
+// a recoverable sentinel (one of the five layered.ErrDelta* baseline
+// rejections the core ladder absorbs, or bipartite.ErrRepairStale),
+// corrupts state that a checksum self-check covers (cache digests, the
+// dirty bitmap), or panics where the worker pool recovers. The degradation
 // ladder in internal/core must then quarantine the damaged state and
 // re-run the affected pair/class/round through the cold path, so a chaos
 // run returns the bit-identical matching of an uninjected run — which is
@@ -47,14 +49,9 @@ const (
 	DirtyGate
 	// RepairToken fires inside bipartite.RepairHK: the retained CSR's
 	// solve token is reported mismatched (ErrRepairStale) as if a foreign
-	// solve had overwritten the arena. Ladder response: full retained
+	// solve had overwritten the arena. Caller response: full retained
 	// solve.
 	RepairToken
-	// RepairInfo fires on core's repair path: the DeltaInfo changed-suffix
-	// descriptor is corrupted before it reaches RepairHK, which detects
-	// the out-of-bounds kept prefix (ErrRepairInfo). Ladder response: full
-	// retained solve.
-	RepairInfo
 	// CacheDigest fires inside core's cross-class pair cache: the stored
 	// entry checksum has a bit flipped, modelling corruption of a cached
 	// candidate set. Ladder response: the hit's checksum self-check fails,
@@ -79,7 +76,6 @@ var siteNames = [numSites]string{
 	DeltaStale:  "delta-stale",
 	DirtyGate:   "dirty-gate",
 	RepairToken: "repair-token",
-	RepairInfo:  "repair-info",
 	CacheDigest: "cache-digest",
 	WorkerPanic: "worker-panic",
 	ChainLink:   "chain-link",

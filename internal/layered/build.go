@@ -66,7 +66,7 @@ type Layered struct {
 // BuildSeq returns the arena build counter stamped on this Layered: every
 // build (BuildIndexed or BuildDelta) on one Scratch gets the next value, so
 // equal BuildSeq means the same build. Consumers chaining per-solve state
-// across builds (the Hopcroft–Karp repair in core) compare it against
+// across builds (a bipartite.RepairHK chain) compare it against
 // DeltaInfo.BaseSeq to verify the baseline they retained is the one the
 // delta was diffed against. Detached and nil-scratch builds report 0.
 func (l *Layered) BuildSeq() uint64 { return l.seq }
@@ -182,6 +182,13 @@ type Scratch struct {
 	walkMatched []bool
 	walkWeights []graph.Weight
 	walkOrig    []int
+
+	// augmentability probe (augprobe.go): reachAt is stamped with
+	// reachStamp when a compact id is reached, reachMate holds the interior
+	// X mate of each id.
+	reachAt    []uint32
+	reachMate  []int32
+	reachStamp uint32
 
 	// flattened Lemma 4.11 decomposition (walks.go).
 	compV     []int

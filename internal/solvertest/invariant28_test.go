@@ -20,15 +20,32 @@ import (
 // walks, |ML'| = len(InteriorX). ML' ⊆ L' and M' is maximum, so no
 // component is M'-augmenting (Berge); every other component is balanced,
 // and each ML'-augmenting path carries one more M' edge than ML' edges.
-// The amortised solve path rests its cardinality gate on this count: a
-// retained or repaired solve with Size() == len(InteriorX) skips the fill,
-// ML' and the walk scan.
+// The default solve path skips every pair whose count is zero: the
+// augmentability probe (Invariant 29, invariant29_test.go) decides
+// |M'| > |ML'| from the layered graph before any solve.
+
+// chainMode selects how forEachSolvedPair builds the surviving pairs of a
+// class.
+type chainMode int
+
+const (
+	// chainRound delta-chains the pairs of one class-round through one
+	// shared arena, restarting the chain at every class and round.
+	chainRound chainMode = iota
+	// chainIndexed builds every pair from scratch with BuildIndexed.
+	chainIndexed
+	// chainCross gives every class its own arena and carries its chain
+	// across rounds, so each class-round's first build links onto the
+	// previous round's last build, as the amortised sweep's cross-round
+	// chaining does.
+	chainCross
+)
 
 // forEachSolvedPair drives every workload family through a few rounds and,
-// per class, builds every surviving τ-pair delta-chained through one arena,
-// as the amortised class sweep does. fn sees each build with a non-empty
-// L' together with its bipartite view.
-func forEachSolvedPair(t *testing.T, seed int64, fn func(name string, lay *layered.Layered, bip *bipartite.Bip)) {
+// per class, builds every surviving τ-pair as mode says. fn sees each
+// build with a non-empty L' together with its bipartite view. It returns
+// how many builds were delta-chained across a round boundary.
+func forEachSolvedPair(t *testing.T, seed int64, mode chainMode, fn func(name string, lay *layered.Layered, bip *bipartite.Bip)) (crossLinks int) {
 	t.Helper()
 	prm := layered.Params{}.WithDefaults()
 	for _, w := range Workloads(rand.New(rand.NewSource(seed))) {
@@ -40,8 +57,14 @@ func forEachSolvedPair(t *testing.T, seed int64, fn func(name string, lay *layer
 		m := w.cloneInitial()
 		runner := core.NewRunner(w.G, optsWithRng(core.Options{}, seed+1))
 		parRng := rand.New(rand.NewSource(seed + 2))
-		scratch := layered.NewScratch()
-		scratch.EnableDeltaBaseline()
+		newArena := func() *layered.Scratch {
+			s := layered.NewScratch()
+			s.EnableDeltaBaseline()
+			return s
+		}
+		shared := newArena()
+		arenas := make([]*layered.Scratch, len(weights))
+		tails := make([]*layered.Layered, len(weights))
 		enum := layered.NewPairScratch()
 		var stats core.Stats
 		for round := 0; round < 3; round++ {
@@ -63,11 +86,21 @@ func forEachSolvedPair(t *testing.T, seed int64, fn func(name string, lay *layer
 					t.Fatalf("%s: oracle unavailable at default granularity", w.Name)
 				}
 				pairs, _ := layered.EnumerateSurvivingPairs(prm, aMask, bMask, 800, orc, enum)
+				scratch := shared
 				var prev *layered.Layered
+				if mode == chainCross {
+					if arenas[c] == nil {
+						arenas[c] = newArena()
+					}
+					scratch, prev = arenas[c], tails[c]
+				}
 				for _, tau := range pairs {
 					var lay *layered.Layered
-					if prev != nil {
-						lay, _, _ = layered.BuildDelta(view, prev, tau, scratch, 1)
+					if prev != nil && mode != chainIndexed {
+						var err error
+						if lay, _, err = layered.BuildDelta(view, prev, tau, scratch, 1); err == nil && prev.Par != par {
+							crossLinks++
+						}
 					}
 					if lay == nil {
 						lay = layered.BuildIndexed(view, tau, scratch)
@@ -76,15 +109,15 @@ func forEachSolvedPair(t *testing.T, seed int64, fn func(name string, lay *layer
 					if len(lay.Y) == 0 {
 						continue
 					}
-					lp := lay.LPrimeEdges()
-					if len(lp) == 0 {
-						continue
-					}
-					fn(w.Name, lay, &bipartite.Bip{N: lay.NumV, Side: lay.Sides(), Edges: lp})
+					fn(w.Name, lay, &bipartite.Bip{N: lay.NumV, Side: lay.Sides(), Edges: lay.LPrimeEdges()})
+				}
+				if mode == chainCross {
+					tails[c] = prev
 				}
 			}
 		}
 	}
+	return crossLinks
 }
 
 // countWalks is the number of augmenting walks AugmentingWalks emits.
@@ -96,14 +129,14 @@ func countWalks(lay *layered.Layered, mPrime *graph.Matching) int {
 
 // TestWalkCountExactSolve is the pair half of Invariant 28: on every
 // surviving τ-pair of every family, the retained or repaired exact solve
-// (the chain repairState runs) yields exactly Size() − len(InteriorX)
-// augmenting walks, and Size() is the cardinality of the filled matching.
-// Both sides of the gate and the repair path must be exercised.
+// yields exactly Size() − len(InteriorX) augmenting walks, and Size() is
+// the cardinality of the filled matching. Pairs with and without walks
+// and the repair path must all be exercised.
 func TestWalkCountExactSolve(t *testing.T) {
 	hk := bipartite.NewScratch()
 	var baseTok, baseSeq uint64
 	gated, walked, repaired := 0, 0, 0
-	forEachSolvedPair(t, 28, func(name string, lay *layered.Layered, bip *bipartite.Bip) {
+	forEachSolvedPair(t, 28, chainRound, func(name string, lay *layered.Layered, bip *bipartite.Bip) {
 		var res bipartite.Result
 		if d := lay.Delta; d.Valid && baseTok != 0 && d.BaseSeq == baseSeq {
 			var err error
@@ -144,11 +177,11 @@ func TestWalkCountExactSolve(t *testing.T) {
 // not an equality once M' falls short of maximum: dropping k edges shared
 // with ML' from an exact M' with k walks gives a valid — merely
 // non-maximum — matching of size |ML'| that still yields all k walks, each
-// dropped edge becoming an M'-augmenting component of its own. A gate on
-// a non-exact branch would lose exactly those walks.
+// dropped edge becoming an M'-augmenting component of its own. Skipping a
+// non-exact solve on its cardinality would lose exactly those walks.
 func TestWalkCountApproxControl(t *testing.T) {
 	dropped := 0
-	forEachSolvedPair(t, 28, func(name string, lay *layered.Layered, bip *bipartite.Bip) {
+	forEachSolvedPair(t, 28, chainRound, func(name string, lay *layered.Layered, bip *bipartite.Bip) {
 		mApprox := bipartite.Approx(bip, 0.5).M
 		if got, floor := countWalks(lay, mApprox), mApprox.Size()-len(lay.InteriorX); got < floor {
 			t.Fatalf("%s: approximate solve gave %d augmenting walks, under |M'| − |ML'| = %d", name, got, floor)
@@ -187,7 +220,7 @@ func TestWalkCountApproxControl(t *testing.T) {
 
 // approxControlPath pins the pipeline output of an Options.Solver backed
 // by bipartite.Approx, generated before the cardinality gate existed. That
-// branch never takes the gate, so the lines move only with the tie-break
+// branch is never probed, so the lines move only with the tie-break
 // generation, together with the witness; regenerate both with
 //
 //	UPDATE_GOLDEN=1 go test ./internal/solvertest/ -run 'TestWitnessGolden|TestWalkCountApproxPipeline'
@@ -218,8 +251,8 @@ func approxControlLines(t *testing.T) []string {
 			for _, e := range m.Edges() {
 				fmt.Fprintf(h, "%d-%d:%d;", e.U, e.V, e.W)
 			}
-			if stats.RepairSolves != 0 {
-				t.Fatalf("%s: approximate solver took the repair path (%d solves)", w.Name, stats.RepairSolves)
+			if stats.AugProbeSkips != 0 {
+				t.Fatalf("%s: approximate solver was probed (%d pairs closed)", w.Name, stats.AugProbeSkips)
 			}
 			lines = append(lines, fmt.Sprintf("%s workers=%d weight=%d edges=%d calls=%d applied=%d hash=%016x",
 				w.Name, workers, m.Weight(), len(m.Edges()), stats.SolverCalls, stats.AppliedAugmentations, h.Sum64()))
@@ -252,45 +285,41 @@ func TestWalkCountApproxPipeline(t *testing.T) {
 	}
 }
 
-// TestWalkCountGatePipeline is the pipeline half of Invariant 28: the
-// gated repair path (RepairCutover 0) against the ungated fresh-solve path
-// (RepairCutover −1, every solve walked) over every family — bit-identical
-// matchings round by round at Workers 1 and 4. At Workers 1 every Stats
-// counter apart from the repair path's own must agree too; at Workers 4
-// the cross-class cache's hit count depends on which class of a round
-// reaches a shared pair first, so only the worker-invariant totals are
-// compared there.
+// TestWalkCountGatePipeline is the pipeline half of Invariants 28 and 29:
+// the default path, whose augmentability probe skips exactly the pairs
+// with no walk to extract, against the same exact Hopcroft–Karp installed
+// as Options.Solver, which solves and walks every pair — bit-identical
+// matchings round by round over every family, at Workers 1 and 4. An
+// installed solver runs sequentially with the cross-class cache off, so
+// the pair totals are compared as SolverCalls + CacheHits; at Workers 4
+// the cache's hit count depends on which class of a round reaches a shared
+// pair first, so only the totals can agree there.
 func TestWalkCountGatePipeline(t *testing.T) {
-	repairOnly := map[string]bool{
-		"repair-solves": true, "repair-edges-kept": true, "cross-round-repairs": true,
-	}
-	repaired := 0
+	closed := 0
 	for _, workers := range []int{1, 4} {
 		for _, w := range Workloads(rand.New(rand.NewSource(28))) {
-			sOff, sOn := AssertBitIdentical(t, w,
-				core.Options{Amortize: true, Workers: workers, RepairCutover: -1},
+			hk := bipartite.NewScratch()
+			solveAll := func(b *bipartite.Bip) (*graph.Matching, error) {
+				return bipartite.HopcroftKarpScratch(b, hk).M, nil
+			}
+			sAll, sProbe := AssertBitIdentical(t, w,
+				core.Options{Amortize: true, Solver: solveAll},
 				core.Options{Amortize: true, Workers: workers},
 				29, 5)
-			repaired += sOn.RepairSolves
-			if workers > 1 {
-				if sOff.SolverCalls+sOff.CacheHits != sOn.SolverCalls+sOn.CacheHits ||
-					sOff.AppliedAugmentations != sOn.AppliedAugmentations {
-					t.Errorf("%s workers %d: calls+hits %d vs %d, applied %d vs %d", w.Name, workers,
-						sOff.SolverCalls+sOff.CacheHits, sOn.SolverCalls+sOn.CacheHits,
-						sOff.AppliedAugmentations, sOn.AppliedAugmentations)
-				}
-				continue
+			closed += sProbe.AugProbeSkips
+			if sAll.AugProbeSkips != 0 {
+				t.Errorf("%s: installed solver was probed %d times", w.Name, sAll.AugProbeSkips)
 			}
-			off, on := sOff.Fields(), sOn.Fields()
-			for i := range off {
-				if !repairOnly[off[i].Name] && off[i].Value != on[i].Value {
-					t.Errorf("%s: %s %d (ungated) vs %d (gated)",
-						w.Name, off[i].Name, off[i].Value, on[i].Value)
-				}
+			if sAll.SolverCalls != sProbe.SolverCalls+sProbe.CacheHits ||
+				sAll.LayeredBuilt != sProbe.LayeredBuilt ||
+				sAll.AppliedAugmentations != sProbe.AppliedAugmentations {
+				t.Errorf("%s workers %d: calls %d vs calls+hits %d, built %d vs %d, applied %d vs %d",
+					w.Name, workers, sAll.SolverCalls, sProbe.SolverCalls+sProbe.CacheHits,
+					sAll.LayeredBuilt, sProbe.LayeredBuilt, sAll.AppliedAugmentations, sProbe.AppliedAugmentations)
 			}
 		}
 	}
-	if repaired == 0 {
-		t.Fatalf("the gated runs never repaired")
+	if closed == 0 {
+		t.Fatalf("the probe never closed a pair")
 	}
 }

@@ -327,7 +327,7 @@ func TestCrossRoundBitIdentical(t *testing.T) {
 			t.Errorf("%s: solver effort diverged: phases %d/%d calls %d/%d",
 				w.Name, sOn.SolverPhases, sOff.SolverPhases, sOn.SolverCalls, sOff.SolverCalls)
 		}
-		if sOff.CrossRoundDeltaBuilds != 0 || sOff.CrossRoundRepairs != 0 {
+		if sOff.CrossRoundDeltaBuilds != 0 {
 			t.Errorf("%s: CrossRoundCutover=-1 still linked across rounds: %+v", w.Name, sOff)
 		}
 		crossBuilds += sOn.CrossRoundDeltaBuilds
@@ -445,48 +445,4 @@ func TestWarmStartMonotone(t *testing.T) {
 func optsWithRng(opts core.Options, seed int64) core.Options {
 	opts.Rng = rand.New(rand.NewSource(seed))
 	return opts
-}
-
-// TestRepairMatchesFromScratch is the acceptance differential of the
-// incremental Hopcroft–Karp repair (Invariant 21, repair-equals-fresh): on
-// every generator family, at every RepairCutover setting, the repaired runs
-// must match the repair-disabled run round-by-round in the full matching,
-// and at the end of the budget in every phase-visible counter — phases,
-// solver calls, and applied augmentations — because a repaired solve is
-// bit-for-bit the cold solve of the same instance.
-func TestRepairMatchesFromScratch(t *testing.T) {
-	for _, w := range Workloads(rand.New(rand.NewSource(6))) {
-		for _, cutover := range []int{0, 1, 4} {
-			off := core.Options{Amortize: true, RepairCutover: -1}
-			on := core.Options{Amortize: true, RepairCutover: cutover}
-			sOff, sOn := AssertBitIdentical(t, w, off, on, 21, 5)
-			if sOff.RepairSolves != 0 {
-				t.Errorf("%s: disabled run repaired %d times", w.Name, sOff.RepairSolves)
-			}
-			if sOn.SolverPhases != sOff.SolverPhases {
-				t.Errorf("%s cutover %d: phases %d (repair) vs %d (scratch)",
-					w.Name, cutover, sOn.SolverPhases, sOff.SolverPhases)
-			}
-			if sOn.SolverCalls != sOff.SolverCalls {
-				t.Errorf("%s cutover %d: solver calls %d vs %d",
-					w.Name, cutover, sOn.SolverCalls, sOff.SolverCalls)
-			}
-			if sOn.AppliedAugmentations != sOff.AppliedAugmentations {
-				t.Errorf("%s cutover %d: applied %d vs %d",
-					w.Name, cutover, sOn.AppliedAugmentations, sOff.AppliedAugmentations)
-			}
-		}
-	}
-}
-
-// TestRepairMatchesNaive closes the triangle: a repair-enabled amortised
-// run against the naive per-round rebuild — the repair must be invisible
-// through the whole pipeline, not just against its own scratch twin.
-func TestRepairMatchesNaive(t *testing.T) {
-	for _, w := range Workloads(rand.New(rand.NewSource(7))) {
-		AssertBitIdentical(t, w,
-			core.Options{},
-			core.Options{Amortize: true, RepairCutover: 0},
-			33, 5)
-	}
 }

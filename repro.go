@@ -177,13 +177,12 @@ type ApproxOptions struct {
 	WarmStart bool
 	// Workers bounds the per-class worker pool (see core.Options.Workers).
 	Workers int
-	// DeltaCutover, RepairCutover and CrossRoundCutover tune (or, negative,
-	// disable) the amortised path's differential builder, incremental
-	// Hopcroft–Karp repair, and cross-round chain — the measurement
-	// baselines of E15/E16/E17. CacheGate tunes the cross-class cache's
-	// hit-rate gate. All four are bit-identity-preserving at any setting;
-	// see the matching core.Options fields.
-	DeltaCutover, RepairCutover, CrossRoundCutover, CacheGate int
+	// DeltaCutover and CrossRoundCutover tune (or, negative, disable) the
+	// amortised path's differential builder and cross-round chain — the
+	// measurement baselines of E15/E17. CacheGate tunes the cross-class
+	// cache's hit-rate gate. All three are bit-identity-preserving at any
+	// setting; see the matching core.Options fields.
+	DeltaCutover, CrossRoundCutover, CacheGate int
 }
 
 func (o ApproxOptions) coreOptions() core.Options {
@@ -199,7 +198,6 @@ func (o ApproxOptions) coreOptions() core.Options {
 		WarmStart:         o.WarmStart,
 		Workers:           o.Workers,
 		DeltaCutover:      o.DeltaCutover,
-		RepairCutover:     o.RepairCutover,
 		CrossRoundCutover: o.CrossRoundCutover,
 		CacheGate:         o.CacheGate,
 	}
