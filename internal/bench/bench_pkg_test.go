@@ -162,27 +162,46 @@ func TestE12bCountersComplete(t *testing.T) {
 // TestE18EditStreamHonest keeps the E18 table honest: rows come in
 // persistent/rebuild pairs that agree on the final weight (the harness
 // surfaces a divergence as an extra DIVERGED row, which must never
-// appear), and the persistent side of every regime absorbed at least one
-// edit through a surviving cross-round chain (MutationDeltaBuilds > 0)
-// rather than resetting per update.
+// appear). With an installed exact solver, which builds every surviving
+// pair, the persistent side of every regime absorbed at least one edit
+// through a surviving cross-round chain (MutationDeltaBuilds > 0) rather
+// than resetting per update. On the default path the index probe closes
+// pairs before any build: no more pairs are delta-built than the solver
+// actually ran on.
 func TestE18EditStreamHonest(t *testing.T) {
-	tables := E18EditStream(Config{Seed: 1, Trials: 1, Quick: true})
-	rows := tables[0].Rows
-	if len(rows)%2 != 0 || len(rows) == 0 {
-		t.Fatalf("E18 rows not in persistent/rebuild pairs: %d rows", len(rows))
+	cfg := Config{Seed: 1, Trials: 1, Quick: true}
+	closed := 0
+	probed := e18EditStream(cfg, core.Options{Amortize: true, MaxPairsPerClass: 2000},
+		func(regime string, persistent bool, st core.Stats) {
+			closed += st.AugProbeSkips
+			if solved := st.SolverCalls - st.AugProbeSkips; st.DeltaBuilds > solved {
+				t.Errorf("%s: %d delta builds for %d solved pairs: closed pairs were built", regime, st.DeltaBuilds, solved)
+			}
+		})
+	if closed == 0 {
+		t.Error("the index probe closed no pair")
 	}
-	for i := 0; i < len(rows); i += 2 {
-		pers, reb := rows[i], rows[i+1]
-		if pers[1] == "DIVERGED" || reb[1] == "DIVERGED" {
-			t.Fatalf("%s: configurations diverged", pers[0])
+	buildAll := e18EditStream(cfg, core.Options{Amortize: true, MaxPairsPerClass: 2000, Solver: core.ExactSolver()}, nil)
+	for _, tables := range [][]Table{probed, buildAll} {
+		rows := tables[0].Rows
+		if len(rows)%2 != 0 || len(rows) == 0 {
+			t.Fatalf("E18 rows not in persistent/rebuild pairs: %d rows", len(rows))
 		}
-		if pers[1] != "persistent" || reb[1] != "rebuild" {
-			t.Fatalf("row order drifted: %q then %q", pers[1], reb[1])
+		for i := 0; i < len(rows); i += 2 {
+			pers, reb := rows[i], rows[i+1]
+			if pers[1] == "DIVERGED" || reb[1] == "DIVERGED" {
+				t.Fatalf("%s: configurations diverged", pers[0])
+			}
+			if pers[1] != "persistent" || reb[1] != "rebuild" {
+				t.Fatalf("row order drifted: %q then %q", pers[1], reb[1])
+			}
+			if pers[7] != reb[7] {
+				t.Errorf("%s: final weight diverged: %s vs %s", pers[0], pers[7], reb[7])
+			}
 		}
-		if pers[7] != reb[7] {
-			t.Errorf("%s: final weight diverged: %s vs %s", pers[0], pers[7], reb[7])
-		}
-		if pers[5] == "0" {
+	}
+	for _, pers := range buildAll[0].Rows {
+		if pers[1] == "persistent" && pers[5] == "0" {
 			t.Errorf("%s: persistent run absorbed no edit through a cross-round chain", pers[0])
 		}
 	}

@@ -115,8 +115,17 @@ func runEditStream(g *graph.Graph, opts core.Options, seed int64, updates []*cor
 // internal/solvertest asserts it per family), so the p50/p99 update-latency
 // columns isolate the mutation-diff layer's worth; the counter columns show
 // the edits riding the cross-round chains (MutationDeltaBuilds) instead of
-// resetting them.
+// resetting them. On the default path the index-level augmentability
+// probe closes most pairs before any build, so few builds remain to chain;
+// an installed solver builds every surviving pair (see e18EditStream).
 func E18EditStream(cfg Config) []Table {
+	return e18EditStream(cfg, core.Options{Amortize: true, MaxPairsPerClass: 2000}, nil)
+}
+
+// e18EditStream runs E18 under opts and hands every configuration's stats
+// to observe (when non-nil), so tests can gate the counters of a
+// configuration other than the default.
+func e18EditStream(cfg Config, opts core.Options, observe func(regime string, persistent bool, st core.Stats)) []Table {
 	cfg = cfg.withDefaults()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	nBand, count := 240, 50
@@ -124,7 +133,6 @@ func E18EditStream(cfg Config) []Table {
 		nBand, count = 60, 10
 	}
 	g := graph.BandedWeights(nBand, 8*nBand, 100, rng).G
-	opts := core.Options{Amortize: true, MaxPairsPerClass: 2000}
 	seed := cfg.Seed + int64(rng.Intn(1<<20))
 
 	t := Table{
@@ -146,6 +154,9 @@ func E18EditStream(cfg Config) []Table {
 				continue
 			}
 			weights = append(weights, r.weight)
+			if observe != nil {
+				observe(regime, c.persistent, r.stats)
+			}
 			t.Rows = append(t.Rows, []string{
 				regime,
 				c.label,

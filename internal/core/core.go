@@ -21,10 +21,11 @@
 // or an augmentation touched; within and across rounds each class chains
 // its layered-graph builds through layered.BuildDelta, patching the
 // previous build instead of rebuilding (the layered.RoundChainer interface
-// is how BuildDelta proves a cross-round baseline fresh). Before solving, the
-// default exact solver asks the layered graph whether it can augment at all
-// (layered.Layered.CanAugment, one sweep over the layers): the ~99% of
-// pairs that cannot skip Hopcroft–Karp and the walk scan outright.
+// is how BuildDelta proves a cross-round baseline fresh). Before building, the
+// default exact solver asks the index whether the pair can augment at all
+// (layered.IncView.CanAugmentPair, one sweep over the grouped Y tables):
+// the ~99% of pairs that cannot skip the build, Hopcroft–Karp and the walk
+// scan outright.
 // Every differential layer is bit-identical to its from-scratch
 // counterpart by construction, and the differential suite in
 // internal/solvertest asserts it family by family.
@@ -274,20 +275,23 @@ type Stats struct {
 	// augmentability probe closed included.
 	SolverCalls int
 	// AugProbeSkips counts the subset of SolverCalls the augmentability
-	// probe (layered.Layered.CanAugment) closed without running the solver:
-	// L' holds no ML'-augmenting path, so an exact solve could not have
-	// yielded a walk. Only the default exact solver without WarmStart probes;
-	// installed solvers and warm runs leave it 0.
+	// probe closed without running the solver: L' holds no ML'-augmenting
+	// path, so an exact solve could not have yielded a walk. The amortised
+	// path reads it off the index before building
+	// (layered.IncView.CanAugmentPair), the naive path off the built graph
+	// (layered.Layered.CanAugment). Only the default exact solver without
+	// WarmStart probes; installed solvers and warm runs leave it 0.
 	AugProbeSkips int
 	// SolverPhases accumulates the Hopcroft–Karp phase counts of the solves
 	// that ran — the unit of work a warm start saves. Tracked only for
 	// the default (scratch-backed or warm-started) exact solvers; installed
 	// Solver/SolverFactory closures leave it 0.
 	SolverPhases int
-	// LayeredBuilt counts layered graphs constructed (= SolverCalls plus
-	// those skipped for having no augmenting structure). Amortised runs
-	// count probe-rejected pairs here too, so the field is comparable
-	// between the naive and amortised paths.
+	// LayeredBuilt counts the pairs charged as built (= SolverCalls plus
+	// those skipped for having no augmenting structure), not the graphs
+	// actually constructed: amortised runs charge pairs the survival probe
+	// rejected and pairs the index probe closed without a build, so the
+	// field is comparable between the naive and amortised paths.
 	LayeredBuilt int
 	// ProbeSkips counts (τA, τB) pairs the amortised survival probe
 	// rejected without constructing their layered graph (always 0 on the
@@ -304,7 +308,9 @@ type Stats struct {
 	CacheHits int
 	// DeltaBuilds counts layered graphs assembled by the differential
 	// builder (layered.BuildDelta) from the previous pair's build instead
-	// of from scratch (always 0 on the naive path).
+	// of from scratch (always 0 on the naive path). Like the other
+	// delta-chain counters below it counts only pairs that reach a build:
+	// with the default solver, pairs the index probe closes never do.
 	DeltaBuilds int
 	// DeltaLayersReused accumulates the layer segments (X layers plus kept
 	// Y gaps) the differential builder carried over unchanged across all
@@ -353,7 +359,8 @@ type Stats struct {
 	// chain crossed a mutation boundary: delta builds in the first round
 	// after a non-empty batch, whose baseline predates the edits and
 	// survived them through the stability gates. This is the "links
-	// dominate builds" signal of the edit regime.
+	// dominate builds" signal of the edit regime; like DeltaBuilds it
+	// counts only pairs that reach a build.
 	MutationDeltaBuilds int
 	// MutationIndexResets counts amortised-state rebuilds forced by an edit
 	// that moved the class-weight ladder (the graph's minimum or maximum
@@ -880,7 +887,9 @@ func oracleOf(ac *amortClassCtx) (layered.SurvivalOracle, bool) {
 // replays the candidates of an identical layered graph solved earlier this
 // round, and a warm solver seeds Hopcroft–Karp from the previous pair. On
 // both paths the default exact solver is preceded by the augmentability
-// probe, which closes every pair whose L' holds no ML'-augmenting path.
+// probe, which closes every pair whose L' holds no ML'-augmenting path —
+// read off the index before the build where the grouped Y tables exist,
+// off the built graph elsewhere.
 //
 // Note: Algorithm 4 as analysed returns only the single best pair's set
 // A(τA,τB); the union with a shared conflict set is pointwise at least as
@@ -968,6 +977,13 @@ func classAugmentations(
 	// nothing else consumes the solve — installed solvers may count calls or
 	// draw randomness, and a warm solve's result seeds the next pair's.
 	probe := !opts.customSolver() && warm == nil
+	// Index probe (Invariant 30): on the probe-guided amortised path the
+	// same decision is read off the grouped Y tables before any build, so
+	// the ~99% of pairs that cannot augment never reach BuildDelta. A
+	// closed pair leaves prevLay on the arena's latest build, still a valid
+	// delta baseline (Invariant 19: the next build is bit-identical
+	// whatever its baseline). Everywhere else the build is probed.
+	indexProbe := probe && preFiltered && ac.view.YGroupsOK()
 	var cands []candidate
 	var key []byte
 
@@ -1018,6 +1034,16 @@ func classAugmentations(
 				}
 			}
 		}
+		if indexProbe && !ac.view.CanAugmentPair(tau, cw.scratch) {
+			// Enumerated survivors have a non-empty Y (the survival probe
+			// is exact here), so this is a solver call the probe closed.
+			stats.SolverCalls++
+			stats.AugProbeSkips++
+			if keyed {
+				ac.cache.put(key, nil)
+			}
+			continue
+		}
 		var lay *layered.Layered
 		if ac != nil && prevLay != nil && opts.DeltaCutover >= 0 {
 			cut := opts.DeltaCutover
@@ -1055,7 +1081,7 @@ func classAugmentations(
 		// augmenting walk when |M'| > |ML'|, which by Berge's lemma holds
 		// exactly when L' has an ML'-augmenting path — one sweep over the
 		// layers decides it before any bipartite view or solve exists.
-		if probe && !lay.CanAugment() {
+		if probe && !indexProbe && !lay.CanAugment() {
 			stats.AugProbeSkips++
 		} else {
 			bip := &bipartite.Bip{N: lay.NumV, Side: lay.Sides(), Edges: lay.LPrimeEdges()}

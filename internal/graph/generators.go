@@ -34,6 +34,7 @@ func randomSimple(n, m int, rng *rand.Rand, weight func() Weight) *Graph {
 		m = max
 	}
 	seen := make(map[Key]struct{}, m)
+	g.edges = make([]Edge, 0, max(m, 0))
 	for len(g.edges) < m {
 		u := rng.Intn(n)
 		v := rng.Intn(n)

@@ -168,3 +168,132 @@ func FuzzCanAugment(f *testing.F) {
 		}
 	})
 }
+
+// probeIndexView returns the class-8 IncView of a probeSetup instance with
+// its round begun on par. Every probeSetup edge crosses the bipartition,
+// so par.A and par.B together are the graph (unmatched edges keep their
+// order, which is the grouped tables' bucket order).
+func probeIndexView(t *testing.T, par *Parametrized, p Params) *IncView {
+	t.Helper()
+	edges := append(append([]graph.Edge(nil), par.A...), par.B...)
+	inc := NewIncIndex(par.N, edges, []float64{8}, p)
+	if err := inc.BeginRound(par); err != nil {
+		t.Fatal(err)
+	}
+	return inc.View(0)
+}
+
+// TestCanAugmentPairHandBuilt holds the index probe to Invariant 30 on the
+// hand-built instances: K = 1 with and without a Y edge, the dead-end
+// interior layer and its open variant, and a vertex reached in two
+// consecutive layers. The last case needs both parity tables: gap 1 reads
+// q1's layer-1 reach after q2–p1 has marked q1 reached in layer 2, so one
+// shared table would lose the path f–p1=q1–p2=q2–a.
+func TestCanAugmentPairHandBuilt(t *testing.T) {
+	p := Params{Granularity: 0.125, MaxLayers: 5}.WithDefaults()
+	k1 := TauPair{AUnits: []int{0, 0}, BUnits: []int{4}}
+	k2 := TauPair{AUnits: []int{0, 5, 0}, BUnits: []int{4, 4}}
+	k3 := TauPair{AUnits: []int{0, 5, 5, 0}, BUnits: []int{4, 4, 4}}
+	for _, c := range []struct {
+		name      string
+		tau       TauPair
+		unmatched [][2]int
+		want      bool
+	}{
+		{"k1-edge", k1, [][2]int{{1, 0}}, true},
+		{"k1-empty", k1, [][2]int{{1, 2}}, false},
+		{"dead-end", k2, [][2]int{{1, 2}, {5, 0}}, false},
+		{"dead-end-open", k2, [][2]int{{1, 2}, {5, 0}, {3, 0}}, true},
+		{"parity", k3, [][2]int{{1, 2}, {1, 4}, {5, 2}, {3, 4}, {5, 0}}, true},
+		{"parity-closed", k3, [][2]int{{1, 2}, {1, 4}, {5, 2}, {3, 4}}, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if !c.tau.IsGood(p) {
+				t.Fatal("constructed pair not good")
+			}
+			v := probeIndexView(t, probeSetup(t, c.unmatched), p)
+			lay := BuildIndexed(v, c.tau, nil)
+			if hk := hkCanAugment(lay); hk != c.want || lay.CanAugment() != c.want {
+				t.Fatalf("built graph: HK %v, CanAugment %v, want %v (Y=%v)", hk, lay.CanAugment(), c.want, lay.Y)
+			}
+			if got := v.CanAugmentPair(c.tau, NewScratch()); got != c.want {
+				t.Fatalf("CanAugmentPair %v, want %v", got, c.want)
+			}
+		})
+	}
+}
+
+// TestCanAugmentPairAllocFree pins the index probe's arena reuse: once the
+// grouped tables are materialised and the parity tables sized, a probe
+// allocates nothing.
+func TestCanAugmentPairAllocFree(t *testing.T) {
+	p := Params{Granularity: 0.125, MaxLayers: 5}.WithDefaults()
+	tau := TauPair{AUnits: []int{0, 5, 5, 0}, BUnits: []int{4, 4, 4}}
+	v := probeIndexView(t, probeSetup(t, [][2]int{{1, 2}, {1, 4}, {5, 2}, {3, 4}, {5, 0}}), p)
+	s := NewScratch()
+	v.CanAugmentPair(tau, s)
+	if n := testing.AllocsPerRun(100, func() { v.CanAugmentPair(tau, s) }); n != 0 {
+		t.Fatalf("CanAugmentPair allocates %.1f times per call", n)
+	}
+}
+
+// FuzzCanAugmentPair fuzzes Invariant 30: on random small graphs, evolving
+// matchings, two bipartition redraws, random classes and two random
+// surviving τ-pairs per round, the index probe agrees with CanAugment on
+// the pair's from-scratch build and with a cold Hopcroft–Karp of its L'.
+// One probe arena serves every call, as a class worker's does.
+func FuzzCanAugmentPair(f *testing.F) {
+	f.Add(int64(1), uint8(0), uint8(0), uint16(0), uint16(1))
+	f.Add(int64(2), uint8(3), uint8(1), uint16(7), uint16(8))
+	f.Add(int64(3), uint8(1), uint8(2), uint16(40), uint16(41))
+	f.Fuzz(func(t *testing.T, seed int64, granSel, classSel uint8, pairA, pairB uint16) {
+		rng := rand.New(rand.NewSource(seed))
+		n := 4 + rng.Intn(17)
+		edges := graph.RandomGraph(n, 1+rng.Intn(4*n), 1<<6, rng).G.Edges()
+		if len(edges) == 0 {
+			t.Skip()
+		}
+		prm := Params{Granularity: []float64{0.5, 0.25, 0.125, 0.0625}[granSel%4]}.WithDefaults()
+		ws := testClassWeights(edges, prm)
+		if len(ws) == 0 {
+			t.Skip()
+		}
+		inc := NewIncIndex(n, edges, ws, prm)
+		m := graph.NewMatching(n)
+		s := NewScratch()
+		enum := NewPairScratch()
+		for round := 0; round < 2; round++ {
+			for _, i := range rng.Perm(len(edges))[:1+len(edges)/2] {
+				mutateMatching(m, edges[i], byte(rng.Intn(256)))
+			}
+			if err := inc.BeginRound(Parametrize(n, edges, m, rng)); err != nil {
+				t.Fatal(err)
+			}
+			v := inc.View(int(classSel) % len(ws))
+			aMask, bMask, ok := v.Masks()
+			if !ok {
+				t.Skip()
+			}
+			orc, ok := v.Oracle()
+			if !ok {
+				t.Skip()
+			}
+			pairs, _ := EnumerateSurvivingPairs(prm, aMask, bMask, 512, orc, enum)
+			if len(pairs) == 0 {
+				continue
+			}
+			for _, sel := range []uint16{pairA, pairB} {
+				tau := pairs[int(sel)%len(pairs)]
+				lay := BuildIndexed(v, tau, nil)
+				want := lay.CanAugment()
+				if hk := hkCanAugment(lay); hk != want {
+					t.Fatalf("round %d tau %+v: CanAugment %v, HK %v", round, tau, want, hk)
+				}
+				if got := v.CanAugmentPair(tau, s); got != want {
+					t.Fatalf("round %d tau %+v: CanAugmentPair %v, CanAugment %v (K=%d, %d Y, %d interior X)",
+						round, tau, got, want, lay.K, len(lay.Y), len(lay.InteriorX))
+				}
+			}
+		}
+	})
+}

@@ -190,6 +190,12 @@ type Scratch struct {
 	reachMate  []int32
 	reachStamp uint32
 
+	// index-level augmentability probe (IncView.CanAugmentPair): the
+	// layer-parity reach tables over original vertex ids, stamped with
+	// consecutive per-layer values from pairStamp.
+	pairReach [2][]uint32
+	pairStamp uint32
+
 	// flattened Lemma 4.11 decomposition (walks.go).
 	compV     []int
 	compM     []bool

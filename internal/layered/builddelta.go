@@ -337,20 +337,7 @@ func BuildDelta(ix Index, prev *Layered, tau TauPair, s *Scratch, cutover int) (
 		if grouped {
 			// One classified-group lookup replaces the filtered bucket
 			// scan: the group holds exactly the survivors, in bucket order.
-			row, col := -1, -1
-			switch {
-			case tau.AUnits[t] > 0:
-				row = tau.AUnits[t]
-			case t == 0:
-				row = 0 // free R endpoints, the first-layer τA = 0 rule
-			}
-			switch {
-			case tau.AUnits[t+1] > 0:
-				col = tau.AUnits[t+1]
-			case t+1 == k:
-				col = FreeLBit // free L endpoints, the last-layer rule
-			}
-			if row >= 0 && col >= 0 {
+			if row, col, ok := gapGroup(tau, t); ok {
 				for _, e := range yg.YGroup(tau.BUnits[t], row, col) {
 					s.y = append(s.y, graph.Edge{U: int(assign(t, e.U)), V: int(assign(t+1, e.V)), W: e.W})
 				}

@@ -246,10 +246,13 @@ func NewIncIndex(n int, edges []graph.Edge, ws []float64, prm Params) *IncIndex 
 	x.bOff = make([]int32, len(edges))
 	x.bStart = make([]int32, len(edges))
 	x.bLen = make([]int32, len(edges))
-	x.bAll = make([][][]int32, len(ws))
-	for c := range x.bAll {
-		x.bAll[c] = make([][]int32, maxU+1)
-	}
+	// bAll is filled count-then-fill into one slab: pass one records every
+	// band and counts each (class, unit) list, pass two writes the edge
+	// indices in ascending order. Each list is carved with its capacity
+	// capped at its length, so an edit's append reallocates instead of
+	// overwriting the neighbouring list.
+	nc, w := len(ws), maxU+1
+	cnt := make([]int32, nc*w)
 	for i, e := range edges {
 		start, units := x.bandOf(e.W)
 		x.bOff[i] = int32(len(x.bUnits))
@@ -257,69 +260,80 @@ func NewIncIndex(n int, edges []graph.Edge, ws []float64, prm Params) *IncIndex 
 		x.bLen[i] = int32(len(units))
 		x.bUnits = append(x.bUnits, units...)
 		for k, u := range units {
-			x.bAll[int(start)+k][u] = append(x.bAll[int(start)+k][u], int32(i))
+			cnt[(int(start)+k)*w+int(u)]++
 		}
 	}
+	total := int32(0)
+	for j, c := range cnt {
+		cnt[j] = total // from here on: the list's fill cursor
+		total += c
+	}
+	slab := make([]int32, total)
+	for i := range edges {
+		off, st := x.bOff[i], int(x.bStart[i])
+		for k := int32(0); k < x.bLen[i]; k++ {
+			j := (st+int(k))*w + int(x.bUnits[off+k])
+			slab[cnt[j]] = int32(i)
+			cnt[j]++
+		}
+	}
+	x.bAll = classRows[[]int32](nc, w)
+	from := int32(0)
+	for j, end := range cnt {
+		if end > from {
+			x.bAll[j/w][j%w] = slab[from:end:end]
+		}
+		from = end
+	}
 
-	x.aCnt = make([][]int32, len(ws))
-	x.bCnt = make([][]int32, len(ws))
-	x.aMask = make([]uint64, len(ws))
-	x.bMask = make([]uint64, len(ws))
-	x.aStamp = make([][]uint32, len(ws))
-	x.bStamp = make([][]uint32, len(ws))
-	x.aBuf = make([][][]graph.Edge, len(ws))
-	x.bBuf = make([][][]graph.Edge, len(ws))
-	x.adStamp = make([][]uint32, len(ws))
-	x.bdStamp = make([][]uint32, len(ws))
-	x.aDig = make([][]uint64, len(ws))
-	x.bDig = make([][]uint64, len(ws))
-	x.probeStamp = make([]uint32, len(ws))
-	x.vStamp = make([][]uint32, len(ws))
-	x.vUnit = make([][]uint8, len(ws))
-	x.prStamp = make([][]uint32, len(ws))
-	x.pRows = make([][][]uint64, len(ws))
-	x.dirty = make([]bool, len(ws))
-	x.dDiff = make([]int32, len(ws)+1)
-	x.cntStamp = make([]uint32, len(ws))
-	x.ygStamp = make([][]uint32, len(ws))
-	x.ygEpoch = make([][]uint64, len(ws))
-	x.ygFlat = make([][][]graph.Edge, len(ws))
-	x.ygTabs = make([][]ygTab, len(ws))
-	x.aChg = make([][]uint64, len(ws))
-	x.yChg = make([][]uint64, len(ws))
-	x.ysStamp = make([][]uint32, len(ws))
-	x.ysEff = make([][]uint64, len(ws))
+	// The per-class tables are fixed-size for the index's life, so each
+	// family is carved from one slab instead of allocated class by class.
+	x.aMask = make([]uint64, nc)
+	x.bMask = make([]uint64, nc)
+	x.aCnt = classRows[int32](nc, w)
+	x.bCnt = classRows[int32](nc, w)
+	x.aStamp = classRows[uint32](nc, w)
+	x.bStamp = classRows[uint32](nc, w)
+	x.aBuf = classRows[[]graph.Edge](nc, w)
+	x.bBuf = classRows[[]graph.Edge](nc, w)
+	x.adStamp = classRows[uint32](nc, w)
+	x.bdStamp = classRows[uint32](nc, w)
+	x.aDig = classRows[uint64](nc, w)
+	x.bDig = classRows[uint64](nc, w)
+	x.probeStamp = make([]uint32, nc)
+	x.vStamp = classRows[uint32](nc, n)
+	x.vUnit = classRows[uint8](nc, n)
+	x.prStamp = classRows[uint32](nc, w)
+	x.pRows = classRows[[]uint64](nc, w)
+	x.dirty = make([]bool, nc)
+	x.dDiff = make([]int32, nc+1)
+	x.cntStamp = make([]uint32, nc)
+	x.ygStamp = classRows[uint32](nc, w)
+	x.ygEpoch = classRows[uint64](nc, w)
+	x.ygFlat = classRows[[]graph.Edge](nc, w)
+	x.ygTabs = classRows[ygTab](nc, w)
+	x.aChg = classRows[uint64](nc, w)
+	x.yChg = classRows[uint64](nc, w)
+	x.ysStamp = classRows[uint32](nc, w)
+	x.ysEff = classRows[uint64](nc, w)
 	x.vChg = make([]uint64, n)
 	x.ePrev = make([]uint8, len(edges))
-	for c := range ws {
-		x.aCnt[c] = make([]int32, maxU+1)
-		x.bCnt[c] = make([]int32, maxU+1)
-		x.aStamp[c] = make([]uint32, maxU+1)
-		x.bStamp[c] = make([]uint32, maxU+1)
-		x.aBuf[c] = make([][]graph.Edge, maxU+1)
-		x.bBuf[c] = make([][]graph.Edge, maxU+1)
-		x.adStamp[c] = make([]uint32, maxU+1)
-		x.bdStamp[c] = make([]uint32, maxU+1)
-		x.aDig[c] = make([]uint64, maxU+1)
-		x.bDig[c] = make([]uint64, maxU+1)
-		x.vStamp[c] = make([]uint32, n)
-		x.vUnit[c] = make([]uint8, n)
-		x.prStamp[c] = make([]uint32, maxU+1)
-		x.pRows[c] = make([][]uint64, maxU+1)
-		x.ygStamp[c] = make([]uint32, maxU+1)
-		x.ygEpoch[c] = make([]uint64, maxU+1)
-		x.ygFlat[c] = make([][]graph.Edge, maxU+1)
-		x.ygTabs[c] = make([]ygTab, maxU+1)
-		x.aChg[c] = make([]uint64, maxU+1)
-		x.yChg[c] = make([]uint64, maxU+1)
-		x.ysStamp[c] = make([]uint32, maxU+1)
-		x.ysEff[c] = make([]uint64, maxU+1)
-	}
-	x.views = make([]IncView, len(ws))
+	x.views = make([]IncView, nc)
 	for c := range x.views {
 		x.views[c] = IncView{ix: x, c: c}
 	}
 	return x
+}
+
+// classRows carves classes rows of width w from one zeroed slab, each
+// row's capacity capped at w.
+func classRows[T any](classes, w int) [][]T {
+	slab := make([]T, classes*w)
+	rows := make([][]T, classes)
+	for c := range rows {
+		rows[c] = slab[c*w : (c+1)*w : (c+1)*w]
+	}
+	return rows
 }
 
 // Classes returns the number of class weights the index covers.

@@ -35,14 +35,17 @@ func TestEditStreamBitIdenticalAllFamilies(t *testing.T) {
 // build-bound tier: edits were applied, the delta chains crossed redraws
 // (links dominate builds is only possible if links exist at all), and at
 // least one chain link crossed a mutation boundary — the baseline predated
-// the batch and survived it through the stability gates.
+// the batch and survived it through the stability gates. The chain gates
+// run with an installed exact solver, which builds every surviving pair;
+// on the default path the index probe closes most pairs before any build,
+// so there it asserts that closed pairs were never built.
 func TestEditStreamCounters(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	for _, w := range Workloads(rng) {
 		if w.Name != "bandeddense" {
 			continue
 		}
-		sA, _ := AssertEditStreamBitIdentical(t, w, core.Options{Amortize: true}, 200, 12, 2, 2)
+		sA, _ := AssertEditStreamBitIdentical(t, w, core.Options{Amortize: true, Solver: core.ExactSolver()}, 200, 12, 2, 2)
 		if sA.MutationsApplied == 0 {
 			t.Error("edit stream applied no mutations")
 		}
@@ -51,6 +54,13 @@ func TestEditStreamCounters(t *testing.T) {
 		}
 		if sA.MutationDeltaBuilds == 0 {
 			t.Errorf("no delta build crossed a mutation boundary: %+v", sA)
+		}
+		sP, _ := AssertEditStreamBitIdentical(t, w, core.Options{Amortize: true}, 200, 12, 2, 2)
+		if sP.AugProbeSkips == 0 {
+			t.Errorf("the index probe closed no pair: %+v", sP)
+		}
+		if solved := sP.SolverCalls - sP.AugProbeSkips; sP.DeltaBuilds > solved {
+			t.Errorf("%d delta builds for %d solved pairs: closed pairs were built: %+v", sP.DeltaBuilds, solved, sP)
 		}
 	}
 }
