@@ -122,10 +122,12 @@ type IncIndex struct {
 	aChg  [][]uint64
 	yChg  [][]uint64
 	vChg  []uint64
-	// ePrev[i] is edge i's previous-round τB-relevant state: bit 0 set when
-	// the edge was live (crossing and unmatched), bit 1 its U endpoint's
-	// side. A liveness or (live) orientation flip bumps yChg for every
-	// (class, unit) slot of the edge.
+	// ePrev[i] is edge i's τB-relevant state as of the last BeginRound,
+	// which diffs the new round against it: bit 0 set when the edge is live
+	// (crossing and unmatched), bit 1 its U endpoint's side. A liveness or
+	// (live) orientation flip bumps yChg for every (class, unit) slot of
+	// the edge. For in-window edges bit 0 is current, and bit 1 too when
+	// live: scanB filters and orients by them within the round.
 	ePrev []uint8
 
 	// Round-scoped dirty-class gate: dirty[c] is true when class c's τ
@@ -143,20 +145,24 @@ type IncIndex struct {
 
 	// Grouped Y tables (YGrouper): per (class, τB unit), the bucket's
 	// crossing edges partitioned by the survival classification of their
-	// endpoints, lazily materialised per round like the probe rows — except
-	// that a partition whose inputs are unchanged since it was last built
-	// (ygEpoch at or after the bucket's effective change epoch, see
-	// yEffEpoch) is revalidated across the round boundary instead of
-	// rebuilt: the PR 7 keying of the survival tables by crossing-status
-	// deltas rather than by round. Since PR 9 the spans live in a flat
-	// open-addressed table (ygTab) instead of a map[uint16]ygSpan — the
-	// YGroup lookup on the build hot path pays two array reads instead of
-	// map hashing, and the table's key set doubles as the word-parallel
-	// source for the survival probe rows (rowsFromSpans).
+	// endpoints, lazily materialised per round by the scanB pass that also
+	// fills the B bucket and the probe rows — except that a partition whose
+	// inputs are unchanged since it was last built (ygEpoch at or after the
+	// bucket's effective change epoch, see yEffEpoch) is revalidated across
+	// the round boundary instead of rebuilt: the PR 7 keying of the survival
+	// tables by crossing-status deltas rather than by round. Since PR 9 the
+	// spans live in a flat open-addressed table (ygTab) instead of a
+	// map[uint16]ygSpan — the YGroup lookup on the build hot path pays two
+	// array reads instead of map hashing, and the table's key set doubles as
+	// the word-parallel source for the survival probe rows (rowsFromSpans).
 	ygStamp [][]uint32
 	ygEpoch [][]uint64
 	ygFlat  [][][]graph.Edge
 	ygTabs  [][]ygTab
+	// yKeys[c] is class c's classifyY key scratch for scanB, one key per
+	// live bucket edge (yDead for dead ones). It is per class, not per
+	// index, because views of distinct classes run concurrently.
+	yKeys [][]uint16
 
 	// ysStamp/ysEff memoise yEffEpoch per (class, unit) within a round: the
 	// max over the bucket's yChg and its in-window edges' endpoint vChg.
@@ -312,6 +318,7 @@ func NewIncIndex(n int, edges []graph.Edge, ws []float64, prm Params) *IncIndex 
 	x.ygEpoch = classRows[uint64](nc, w)
 	x.ygFlat = classRows[[]graph.Edge](nc, w)
 	x.ygTabs = classRows[ygTab](nc, w)
+	x.yKeys = make([][]uint16, nc)
 	x.aChg = classRows[uint64](nc, w)
 	x.yChg = classRows[uint64](nc, w)
 	x.ysStamp = classRows[uint32](nc, w)
@@ -684,7 +691,8 @@ func (v *IncView) ClassWeight() float64 { return v.ix.ws[v.c] }
 func (v *IncView) Config() Params { return v.ix.prm }
 
 // A returns the matched crossing edges of the unit-u τA window, in par.A
-// order, materialising (and digesting) the bucket on first use this round.
+// order, materialising the bucket on first use this round (its digest is
+// computed only when PairKey first reads it).
 func (v *IncView) A(u int) []graph.Edge {
 	if u < 1 || u > v.ix.maxU {
 		return nil
@@ -727,7 +735,8 @@ func (x *IncIndex) aDigest(c, u int) uint64 {
 }
 
 // B returns the unmatched crossing edges of the unit-u τB window, in par.B
-// order, materialising (and digesting) the bucket on first use this round.
+// order, materialising the bucket on first use this round (at grouped
+// discretisations the same pass also builds the unit's grouped Y table).
 func (v *IncView) B(u int) []graph.Edge {
 	if u < 2 || u > v.ix.maxU {
 		return nil
@@ -737,18 +746,93 @@ func (v *IncView) B(u int) []graph.Edge {
 
 func (x *IncIndex) bLive(c, u int) []graph.Edge {
 	if x.bStamp[c][u] != x.stamp {
-		x.bStamp[c][u] = x.stamp
-		buf := x.bBuf[c][u][:0]
-		for _, ei := range x.bAll[c][u] {
-			e := x.edges[ei]
-			if x.par.Side[e.U] == x.par.Side[e.V] || x.par.M.Has(e.U, e.V) {
-				continue
-			}
-			buf = append(buf, e)
-		}
-		x.bBuf[c][u] = buf
+		x.scanB(c, u, x.maxU < freeLBit && x.ygStamp[c][u] != x.stamp)
 	}
 	return x.bBuf[c][u]
+}
+
+// yDead is classifyY's key for a dead edge; real keys stay below it because
+// grouping requires maxU < freeLBit.
+const yDead = ^uint16(0)
+
+// scanB is the round's one pass over the (c, u) τB bucket: it applies the
+// crossing filter to bAll[c][u], materialising bBuf[c][u] in bucket order,
+// and with group set classifies each live edge once into the class's
+// private key scratch, from which it scatters the grouped Y table and the
+// probe rows. The buffers are sized from the round's exact BCount, at least
+// doubling when they must grow (the count moves with every redraw), so a
+// warm (class, unit) re-materialises without allocating.
+func (x *IncIndex) scanB(c, u int, group bool) {
+	x.bStamp[c][u] = x.stamp
+	n := 0
+	if x.cntStamp[c] == x.stamp {
+		n = int(x.bCnt[c][u])
+	}
+	buf, keys := x.bBuf[c][u][:0], x.yKeys[c][:0]
+	if cap(buf) < n {
+		buf = make([]graph.Edge, 0, max(n, 2*cap(buf)))
+	}
+	if group {
+		x.ensureProbe(c)
+		if cap(keys) < n {
+			keys = make([]uint16, 0, max(n, 2*cap(keys)))
+		}
+	}
+	for _, ei := range x.bAll[c][u] {
+		st := x.ePrev[ei]
+		if st&1 == 0 {
+			continue // not crossing, or matched
+		}
+		e := x.edges[ei]
+		buf = append(buf, e)
+		if group {
+			if st&2 != 0 { // U on the R side
+				keys = append(keys, x.classifyY(c, e.U, e.V))
+			} else {
+				keys = append(keys, x.classifyY(c, e.V, e.U))
+			}
+		}
+	}
+	x.bBuf[c][u] = buf
+	if !group {
+		return
+	}
+	x.yKeys[c] = keys
+	x.ygStamp[c][u] = x.stamp
+	x.ygEpoch[c][u] = x.epoch
+	tab := &x.ygTabs[c][u]
+	tab.reset(len(buf))
+	for _, k := range keys {
+		if k != yDead {
+			tab.ref(k).n++
+		}
+	}
+	off := int32(0)
+	for i, k := range tab.keys {
+		if k != 0 {
+			tab.spans[i].off = off
+			off += tab.spans[i].n
+		}
+	}
+	flat := x.ygFlat[c][u]
+	if cap(flat) < len(buf) {
+		flat = make([]graph.Edge, len(buf))
+	}
+	flat = flat[:off]
+	for i, k := range keys {
+		if k == yDead {
+			continue
+		}
+		e := buf[i]
+		if !x.par.Side[e.U] { // orient R→L
+			e.U, e.V = e.V, e.U
+		}
+		sp := tab.ref(k)
+		flat[sp.off+sp.fill] = e
+		sp.fill++
+	}
+	x.ygFlat[c][u] = flat
+	x.rowsFromSpans(c, u, tab)
 }
 
 // bDigest is aDigest for the unit-u τB bucket.
@@ -814,37 +898,18 @@ func (x *IncIndex) ensureProbe(c int) {
 	}
 }
 
-// probeRows materialises the class's unit-u probe table for the round: one
-// pass over the unit-u unmatched bucket classifying each edge by the
-// matched units (or freeness) of its R and L endpoints. The table encodes
-// exactly BuildIndexed's survives() predicate — a Y edge of a pair with
-// τA = (…, ua at layer t, ub at layer t+1, …) survives iff its R endpoint
-// carries a crossing matched edge of unit ua (or is free with ua = 0 in the
-// first layer) and symmetrically for L — so a single bit test per layer
-// answers whether any unit-u edge survives.
+// probeRows returns the class's unit-u probe table for the round, building
+// it with the unit's grouped Y table (ensureYGroups) on first use. The table
+// encodes exactly BuildIndexed's survives() predicate — a Y edge of a pair
+// with τA = (…, ua at layer t, ub at layer t+1, …) survives iff its R
+// endpoint carries a crossing matched edge of unit ua (or is free with
+// ua = 0 in the first layer) and symmetrically for L — so a single bit test
+// per layer answers whether any unit-u edge survives.
 func (x *IncIndex) probeRows(c, u int) []uint64 {
-	if x.prStamp[c][u] == x.stamp {
-		return x.pRows[c][u]
+	if x.prStamp[c][u] != x.stamp {
+		x.ensureYGroups(c, u)
 	}
-	x.prStamp[c][u] = x.stamp
-	x.ensureProbe(c)
-	rows := x.pRows[c][u]
-	if rows == nil {
-		rows = make([]uint64, x.maxU+1)
-		x.pRows[c][u] = rows
-	} else {
-		clear(rows)
-	}
-	for _, e := range x.bLive(c, u) {
-		// classifyY is the one copy of the endpoint survival rule, shared
-		// with the grouped Y tables so the probe and YGroup cannot drift.
-		key, _, ok := x.classifyY(c, e)
-		if !ok {
-			continue // an endpoint matched off the bipartition: dead
-		}
-		rows[key>>8] |= 1 << uint(key&0xff)
-	}
-	return rows
+	return x.pRows[c][u]
 }
 
 // ProbeY reports whether the pair's layered graph would contain at least
@@ -915,7 +980,8 @@ type ygSpan struct{ off, n, fill int32 }
 // spans is the parallel value array. Linear probing over a power-of-two
 // slot count; the key universe is bounded (row ≤ maxU < FreeLBit, col ≤
 // FreeLBit, so < 64·64 distinct keys), which keeps even a saturated table
-// small and the load factor capped by grow().
+// small; reset sizes the table for all of its bucket's keys, so the load
+// factor stays at most ½ without rehashing.
 type ygTab struct {
 	keys  []uint32
 	spans []ygSpan
@@ -954,15 +1020,15 @@ func (t *ygTab) reset(hint int) {
 
 // ref returns the span slot for key, inserting an empty one if absent.
 func (t *ygTab) ref(key uint16) *ygSpan {
-	if 2*(t.used+1) > len(t.keys) {
-		t.grow()
-	}
 	mask := uint32(len(t.keys) - 1)
 	for i := ygHash(key) & mask; ; i = (i + 1) & mask {
 		switch t.keys[i] {
 		case uint32(key) + 1:
 			return &t.spans[i]
 		case 0:
+			if 2*(t.used+1) > len(t.keys) {
+				panic("layered: ygTab holds more keys than its reset hint")
+			}
 			t.keys[i] = uint32(key) + 1
 			t.used++
 			return &t.spans[i]
@@ -986,44 +1052,16 @@ func (t *ygTab) get(key uint16) (ygSpan, bool) {
 	}
 }
 
-// grow doubles the slot array and rehashes the occupied slots.
-func (t *ygTab) grow() {
-	oldK, oldS := t.keys, t.spans
-	want := 2 * len(oldK)
-	if want < 16 {
-		want = 16
-	}
-	t.keys = make([]uint32, want)
-	t.spans = make([]ygSpan, want)
-	mask := uint32(want - 1)
-	for i, k := range oldK {
-		if k == 0 {
-			continue
-		}
-		for j := ygHash(uint16(k-1)) & mask; ; j = (j + 1) & mask {
-			if t.keys[j] == 0 {
-				t.keys[j] = k
-				t.spans[j] = oldS[i]
-				break
-			}
-		}
-	}
-}
-
 // ygKey packs a (row, col) survival classification; rows and cols fit a
 // byte (units ≤ maxIncUnit and the FreeLBit marker).
 func ygKey(row, col int) uint16 { return uint16(row)<<8 | uint16(col) }
 
-// classifyY orients a crossing unmatched edge R→L and classifies it by the
-// matched units (or freeness) of its endpoints — the single copy of the
-// endpoint survival rule, consumed bitwise by probeRows and as edge lists
-// by the grouped Y tables. ok is false for dead edges (an endpoint matched
-// off the bipartition survives in no layer).
-func (x *IncIndex) classifyY(c int, e graph.Edge) (key uint16, re graph.Edge, ok bool) {
-	r, l := e.U, e.V
-	if !x.par.Side[r] {
-		r, l = l, r
-	}
+// classifyY classifies a crossing unmatched edge with R endpoint r and L
+// endpoint l by the matched units (or freeness) of its endpoints — the
+// single copy of the endpoint survival rule, whose keys scanB groups the
+// bucket by and whose key set becomes the probe rows. Dead edges (an
+// endpoint matched off the bipartition survives in no layer) get yDead.
+func (x *IncIndex) classifyY(c, r, l int) uint16 {
 	var row, col int
 	switch {
 	case x.vStamp[c][r] == x.stamp:
@@ -1031,7 +1069,7 @@ func (x *IncIndex) classifyY(c int, e graph.Edge) (key uint16, re graph.Edge, ok
 	case !x.par.M.IsMatched(r):
 		row = 0 // free: the first-layer τA = 0 rule
 	default:
-		return 0, re, false
+		return yDead
 	}
 	switch {
 	case x.vStamp[c][l] == x.stamp:
@@ -1039,9 +1077,9 @@ func (x *IncIndex) classifyY(c int, e graph.Edge) (key uint16, re graph.Edge, ok
 	case !x.par.M.IsMatched(l):
 		col = freeLBit // free: the last-layer τA = 0 rule
 	default:
-		return 0, re, false
+		return yDead
 	}
-	return ygKey(row, col), graph.Edge{U: r, V: l, W: e.W}, true
+	return ygKey(row, col)
 }
 
 // yEffEpoch returns the epoch of the last change relevant to the (c, u)
@@ -1101,17 +1139,20 @@ func (v *IncView) YStableSince(u int, epoch uint64) bool {
 // ensureYGroups materialises the class's unit-u survival partition for the
 // round: the unit-u crossing bucket, dead edges dropped, survivors grouped
 // by (row, col) classification with bucket order preserved inside each
-// group. Cost is two passes over the bucket, paid once per (class, unit) —
-// and, since PR 7, not even per round: a partition whose inputs are
-// unchanged since it was built (yEffEpoch at or before its ygEpoch) is
-// revalidated across the BeginRound redraw instead of rebuilt, keyed by the
-// crossing-status delta clock rather than the round stamp.
+// group, plus the unit's probe rows. The work is scanB's single pass over
+// the bucket — shared with B(u) — paid once per (class, unit) and round,
+// unless the partition's inputs are unchanged since it was built (yEffEpoch
+// at or before its ygEpoch): then last round's partition is revalidated
+// across the BeginRound redraw instead of rebuilt. Grouping requires
+// maxU < freeLBit (YGroupsOK).
 func (x *IncIndex) ensureYGroups(c, u int) (*ygTab, []graph.Edge) {
 	tab := &x.ygTabs[c][u]
 	if x.ygStamp[c][u] == x.stamp {
 		return tab, x.ygFlat[c][u]
 	}
-	if tab.keys != nil && x.ygEpoch[c][u] > 0 && x.yEffEpoch(c, u) <= x.ygEpoch[c][u] {
+	// yChg bounds yEffEpoch from below, so the O(1) test rules reuse out
+	// before the O(|bAll|) endpoint scan.
+	if ep := x.ygEpoch[c][u]; tab.keys != nil && ep > 0 && x.yChg[c][u] <= ep && x.yEffEpoch(c, u) <= ep {
 		// Cross-round reuse: nothing the partition depends on changed since
 		// it was last (re)built, so last round's grouping is this round's,
 		// bit for bit. The probe rows ride along: the retained table's key
@@ -1121,57 +1162,16 @@ func (x *IncIndex) ensureYGroups(c, u int) (*ygTab, []graph.Edge) {
 		x.rowsFromSpans(c, u, tab)
 		return tab, x.ygFlat[c][u]
 	}
-	x.ygStamp[c][u] = x.stamp
-	x.ygEpoch[c][u] = x.epoch
-	x.ensureProbe(c)
-	bucket := x.bLive(c, u)
-	tab.reset(len(bucket))
-	flat := x.ygFlat[c][u]
-	if cap(flat) < len(bucket) {
-		flat = make([]graph.Edge, len(bucket))
-	}
-	kept := 0
-	for _, e := range bucket {
-		key, _, ok := x.classifyY(c, e)
-		if !ok {
-			continue
-		}
-		tab.ref(key).n++
-		kept++
-	}
-	flat = flat[:kept]
-	off := int32(0)
-	for i, k := range tab.keys {
-		if k == 0 {
-			continue
-		}
-		tab.spans[i].off = off
-		off += tab.spans[i].n
-	}
-	for _, e := range bucket {
-		key, re, ok := x.classifyY(c, e)
-		if !ok {
-			continue
-		}
-		sp := tab.ref(key)
-		flat[sp.off+sp.fill] = re
-		sp.fill++
-	}
-	x.ygFlat[c][u] = flat
-	// Same-pass probe rows: the table's key set is exactly the bit set the
-	// per-edge probe build would produce, so the unit's survival rows come
-	// for free here — one OR per distinct classification.
-	x.rowsFromSpans(c, u, tab)
-	return tab, flat
+	x.scanB(c, u, true)
+	return tab, x.ygFlat[c][u]
 }
 
 // rowsFromSpans rebuilds the (c, u) survival probe rows word-parallel from
-// a current grouped-Y span table: one bit-OR per occupied slot instead of
-// one classifyY per bucket edge. The bits are identical to probeRows' own
-// per-edge build because both sides derive from the same classifyY calls
-// over the same live bucket (the table keeps exactly the classifications
-// with at least one surviving edge). No-op if the rows already carry this
-// round's stamp.
+// a current grouped-Y span table: one bit-OR per occupied slot. The table
+// keeps exactly the classifications with at least one surviving edge of
+// the live bucket, so row ra holds bit la iff some live unit-u edge
+// classifies as (ra, la). No-op if the rows already carry this round's
+// stamp.
 func (x *IncIndex) rowsFromSpans(c, u int, tab *ygTab) {
 	if x.prStamp[c][u] == x.stamp {
 		return
@@ -1201,9 +1201,9 @@ func (v *IncView) YGroupsOK() bool { return v.ix.maxU < freeLBit }
 // YGroup returns the unit-u unmatched crossing edges surviving between a
 // layer of matched unit row and a successor layer of matched unit col
 // (YGrouper interface; row 0 = free R, col FreeLBit = free L), oriented
-// U = R endpoint, V = L endpoint, in bucket order.
+// U = R endpoint, V = L endpoint, in bucket order; nil unless YGroupsOK.
 func (v *IncView) YGroup(u, row, col int) []graph.Edge {
-	if u < 2 || u > v.ix.maxU || row < 0 || row > 0xff || col < 0 || col > 0xff {
+	if u < 2 || u > v.ix.maxU || !v.YGroupsOK() || row < 0 || row > 0xff || col < 0 || col > 0xff {
 		return nil
 	}
 	tab, flat := v.ix.ensureYGroups(v.c, u)

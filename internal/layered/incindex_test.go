@@ -2,6 +2,7 @@ package layered
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/graph"
@@ -166,6 +167,221 @@ func TestIncIndexMatchesBucketIndex(t *testing.T) {
 	}
 }
 
+// yReference is the grouped Y table and probe rows of one (class, τB unit)
+// built from first principles: each edge of the BucketIndex B(u) bucket is
+// oriented R→L and classified by its endpoints — the τA unit of a matched
+// crossing endpoint (read off the BucketIndex A buckets), 0 for a free R
+// endpoint, FreeLBit for a free L endpoint, dead for an endpoint matched
+// off the bipartition. groups keeps bucket order within each (row, col).
+type yReference struct {
+	rows   []uint64
+	groups map[[2]int][]graph.Edge
+}
+
+func bucketYReference(par *Parametrized, ref *BucketIndex, u, maxU int) yReference {
+	unit := make([]int, par.N)
+	for a := 1; a <= maxU; a++ {
+		for _, e := range ref.A(a) {
+			unit[e.U], unit[e.V] = a, a
+		}
+	}
+	classify := func(v, free int) (int, bool) {
+		switch {
+		case unit[v] > 0:
+			return unit[v], true
+		case !par.M.IsMatched(v):
+			return free, true
+		}
+		return 0, false
+	}
+	y := yReference{rows: make([]uint64, maxU+1), groups: map[[2]int][]graph.Edge{}}
+	for _, e := range ref.B(u) {
+		if !par.Side[e.U] {
+			e.U, e.V = e.V, e.U
+		}
+		row, okR := classify(e.U, 0)
+		col, okL := classify(e.V, FreeLBit)
+		if !okR || !okL {
+			continue
+		}
+		y.rows[row] |= 1 << uint(col)
+		y.groups[[2]int{row, col}] = append(y.groups[[2]int{row, col}], e)
+	}
+	return y
+}
+
+// assertLayerRowsMatch checks the view's full LayerRow grid of bucket unit
+// u against the reference rows.
+func assertLayerRowsMatch(t testing.TB, v *IncView, u int, y yReference) {
+	t.Helper()
+	for a, want := range y.rows {
+		if got := v.LayerRow(u, a); got != want {
+			t.Fatalf("class %d LayerRow(%d, %d) = %b, want %b", v.c, u, a, got, want)
+		}
+	}
+}
+
+// assertYGroupsMatchRef checks every (row, col) group of bucket unit u
+// against the reference, content and order.
+func assertYGroupsMatchRef(t testing.TB, v *IncView, u int, y yReference) {
+	t.Helper()
+	maxU := len(y.rows) - 1
+	for row := 0; row <= maxU; row++ {
+		for col := 0; col <= FreeLBit; col++ {
+			if col > maxU && col != FreeLBit {
+				continue
+			}
+			if got, want := v.YGroup(u, row, col), y.groups[[2]int{row, col}]; !edgeSlicesEqual(got, want) {
+				t.Fatalf("class %d YGroup(%d, %d, %d) = %v, want %v", v.c, u, row, col, got, want)
+			}
+		}
+	}
+}
+
+// touchY materialises a view's unit-u Y tables through one of the three
+// entry points that can touch them first: LayerRow (the enumeration),
+// YGroup (the builds and the index probe) or B (the ungrouped build and the
+// digests).
+func touchY(v *IncView, u, how int) {
+	switch how {
+	case 0:
+		v.LayerRow(u, 0)
+	case 1:
+		v.YGroup(u, 0, FreeLBit)
+	default:
+		v.B(u)
+	}
+}
+
+// assertYTablesMatchBucket holds every class view of inc to the reference,
+// first touching each (class, unit) through entry point (order + c) mod 3,
+// so one call spreads the three first-touch orders over the classes.
+func assertYTablesMatchBucket(t testing.TB, inc *IncIndex, par *Parametrized, ws []float64, prm Params, order int) {
+	t.Helper()
+	maxU, _ := prm.Units()
+	for c, w := range ws {
+		v := inc.View(c)
+		ref := NewBucketIndex(par, w, prm)
+		for u := 2; u <= maxU; u++ {
+			touchY(v, u, (order+c)%3)
+			y := bucketYReference(par, ref, u, maxU)
+			assertLayerRowsMatch(t, v, u, y)
+			assertYGroupsMatchRef(t, v, u, y)
+			if got, want := v.B(u), ref.B(u); !edgeSlicesEqual(got, want) {
+				t.Fatalf("class %d B(%d): incremental %v != rebuild %v", c, u, got, want)
+			}
+		}
+	}
+}
+
+// TestLayerRowMatchesBucketReference pins the probe rows the pair
+// enumeration prunes with, and the grouped Y tables they are read off, to a
+// reference built straight from the BucketIndex buckets (bucketYReference)
+// for every (class, bUnit, aUnit). It covers fresh indexes, one index
+// chained through BeginRound, and — on odd trials — that index absorbing
+// edit batches between rounds, each under all three first-touch orders
+// (LayerRow, YGroup or B first). One more fresh index per round has its
+// classes materialised concurrently, one goroutine each, as the class
+// sweep runs them; under -race that checks the scan's scratch is private
+// to its class.
+func TestLayerRowMatchesBucketReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for trial := 0; trial < 6; trial++ {
+		n := 8 + rng.Intn(20)
+		maxW := graph.Weight(1 << (3 + rng.Intn(4)))
+		g := graph.RandomGraph(n, 3*n, maxW, rng).G
+		prm := Params{Granularity: []float64{0.5, 0.25, 0.125}[trial%3]}.WithDefaults()
+		maxU, _ := prm.Units()
+		ws := testClassWeights(g.Edges(), prm)
+		chained := NewIncIndex(n, g.Edges(), ws, prm)
+		m := graph.NewMatching(n)
+		for round := 0; round < 6; round++ {
+			for k := 0; k < 1+rng.Intn(4); k++ {
+				if g.M() > 0 {
+					mutateMatching(m, g.EdgeAt(rng.Intn(g.M())), byte(rng.Intn(256)))
+				}
+			}
+			if trial%2 == 1 && round > 0 {
+				if err := chained.BeginEdits(); err != nil {
+					t.Fatal(err)
+				}
+				for k := 0; k < 1+rng.Intn(4); k++ {
+					applyRandomEdit(t, g, m, chained, maxW, rng)
+				}
+				chained.EndEdits()
+			}
+			par := Parametrize(n, g.Edges(), m, rng)
+			if err := chained.BeginRound(par); err != nil {
+				t.Fatal(err)
+			}
+			assertYTablesMatchBucket(t, chained, par, ws, prm, round)
+			for order := 0; order < 4; order++ {
+				fresh := NewIncIndex(n, g.Edges(), ws, prm)
+				if err := fresh.BeginRound(par); err != nil {
+					t.Fatal(err)
+				}
+				if order == 3 {
+					var wg sync.WaitGroup
+					for c := range ws {
+						wg.Add(1)
+						go func(v *IncView) {
+							defer wg.Done()
+							for u := 2; u <= maxU; u++ {
+								touchY(v, u, c%3)
+							}
+						}(fresh.View(c))
+					}
+					wg.Wait()
+				}
+				assertYTablesMatchBucket(t, fresh, par, ws, prm, order)
+			}
+		}
+	}
+}
+
+// TestYGroupsAllocFree pins the round scan's buffer reuse: after a warm
+// round, re-materialising a (class, unit) in a later round with the same
+// bucket sizes allocates nothing. The rounds alternate between a
+// bipartition and its mirror image, which keeps every bucket's size but
+// flips every member's orientation, so the grouped table cannot be
+// revalidated across rounds and each round rescans the bucket.
+func TestYGroupsAllocFree(t *testing.T) {
+	p := Params{Granularity: 0.125, MaxLayers: 5}.WithDefaults()
+	par := probeSetup(t, [][2]int{{1, 2}, {1, 4}, {5, 2}, {3, 4}, {5, 0}, {3, 2}})
+	edges := append(append([]graph.Edge(nil), par.A...), par.B...)
+	mirror := make([]bool, par.N)
+	for v := range mirror {
+		mirror[v] = !par.Side[v]
+	}
+	pars := []*Parametrized{par, ParametrizeWithSide(par.N, edges, par.M, mirror)}
+	inc := NewIncIndex(par.N, edges, []float64{8}, p)
+	v := inc.View(0)
+	round := 0
+	touch := func() {
+		round++
+		if err := inc.BeginRound(pars[round%2]); err != nil {
+			t.Fatal(err)
+		}
+		v.LayerRow(4, 0)
+		v.YGroup(4, 0, FreeLBit)
+		v.B(4)
+	}
+	touch()
+	touch()
+	if n := testing.AllocsPerRun(100, touch); n != 0 {
+		t.Fatalf("re-materialising a warm (class, unit) allocates %.1f times per round", n)
+	}
+	maxU, _ := p.Units()
+	for _, q := range pars {
+		if err := inc.BeginRound(q); err != nil {
+			t.Fatal(err)
+		}
+		y := bucketYReference(q, NewBucketIndex(q, 8, p), 4, maxU)
+		assertLayerRowsMatch(t, v, 4, y)
+		assertYGroupsMatchRef(t, v, 4, y)
+	}
+}
+
 // TestIncIndexPairKeySharing checks the cache-key contract on a workload
 // engineered to produce cross-class duplicates (a single repeated weight):
 // equal PairKeys must mean equal layered graphs, and at least one pair of
@@ -229,7 +445,10 @@ func TestIncIndexPairKeySharing(t *testing.T) {
 // FuzzIncrementalIndex mutates edge weights and matched status and
 // cross-checks the three builders against each other: the incremental
 // views against from-scratch BucketIndex rebuilds, and BuildIndexed over
-// both against the dense-id reference builder of reference.go.
+// both against the dense-id reference builder of reference.go. Each round
+// it also holds the grouped Y tables and the full LayerRow grid to
+// bucketYReference, with ProbeY touching the tables before the B/YGroup
+// reads on even rounds and after them on odd ones.
 func FuzzIncrementalIndex(f *testing.F) {
 	f.Add(int64(1), uint8(2), []byte{1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add(int64(2), uint8(1), []byte{0xff, 0x80, 0x10, 9, 9, 9})
@@ -272,17 +491,45 @@ func FuzzIncrementalIndex(f *testing.F) {
 				}
 				ref := NewBucketIndex(par, w, prm)
 				v := inc.View(c)
-				assertViewMatchesBucket(t, v, ref, prm)
-
 				aMask, bMask, ok := ref.Masks()
-				if !ok {
-					continue
+				var pairs []TauPair
+				if ok {
+					pairs = EnumerateGoodPairsMasked(prm, aMask, bMask, 12)
 				}
-				for _, tau := range EnumerateGoodPairsMasked(prm, aMask, bMask, 12) {
-					layRef := BuildIndexed(ref, tau, nil)
-					if got, want := v.ProbeY(tau), len(layRef.Y) > 0; got != want {
-						t.Fatalf("ProbeY=%v, want %v (tau %+v, W=%v)", got, want, tau, w)
+				// ProbeY materialises the Y tables through the probe rows, the
+				// B and YGroup reads through the bucket scan; alternate which
+				// one touches each (class, unit) first.
+				probes := func() {
+					for _, tau := range pairs {
+						if got, want := v.ProbeY(tau), len(BuildIndexed(ref, tau, nil).Y) > 0; got != want {
+							t.Fatalf("ProbeY=%v, want %v (tau %+v, W=%v)", got, want, tau, w)
+						}
 					}
+				}
+				maxU, _ := prm.Units()
+				reads := func() {
+					assertViewMatchesBucket(t, v, ref, prm)
+					if v.YGroupsOK() {
+						for u := 2; u <= maxU; u++ {
+							assertYGroupsMatchRef(t, v, u, bucketYReference(par, ref, u, maxU))
+						}
+					}
+				}
+				if r%2 == 0 {
+					probes()
+					reads()
+				} else {
+					reads()
+					probes()
+				}
+				if _, ok := v.Oracle(); ok {
+					for u := 2; u <= maxU; u++ {
+						assertLayerRowsMatch(t, v, u, bucketYReference(par, ref, u, maxU))
+					}
+				}
+
+				for _, tau := range pairs {
+					layRef := BuildIndexed(ref, tau, nil)
 					layInc := BuildIndexed(v, tau, nil)
 					if layInc.NumV != layRef.NumV ||
 						!edgeSlicesEqual(layInc.X, layRef.X) ||
